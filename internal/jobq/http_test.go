@@ -270,3 +270,56 @@ func TestHTTPProgressFanIn(t *testing.T) {
 		t.Fatalf("first cell line job = %q, want %q", first.Job, st1.ID)
 	}
 }
+
+// TestHTTPEventsFollowedFromSubmit follows each job's events the moment
+// its POST returns. A gated cache holds the first job running, so the
+// second is still queued when its stream opens: the stream's first
+// snapshot has no cells, and it must still carry the job through to its
+// terminal summary once the gate opens.
+func TestHTTPEventsFollowedFromSubmit(t *testing.T) {
+	gate := &gateCache{release: make(chan struct{})}
+	multi := obs.NewMultiProgress()
+	mgr := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: gate, Multi: multi})
+	srv := obs.NewServer(nil, multi)
+	jobq.NewAPI(mgr).Mount(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer mgr.Shutdown()
+	defer ts.Close()
+	defer func() {
+		select {
+		case <-gate.release:
+		default:
+			close(gate.release) // a failed test must not hold Shutdown
+		}
+	}()
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	var streams []*http.Response
+	var jobs []jobq.Status
+	for _, label := range []string{"first", "queued"} {
+		st := submitGrid(t, ts, label)
+		// Get returns once the handler has flushed its first snapshot.
+		resp, err := client.Get(ts.URL + "/jobs/" + st.ID + "/events?interval_ms=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		streams = append(streams, resp)
+		jobs = append(jobs, st)
+	}
+	close(gate.release)
+	for i, resp := range streams {
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("job %s events: %v after %q", jobs[i].ID, err, raw)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		var sum obs.SummaryLine
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
+			t.Fatalf("job %s events: last line %q: %v", jobs[i].ID, lines[len(lines)-1], err)
+		}
+		if !sum.Summary || sum.Total != jobs[i].Cells || sum.Done != sum.Total {
+			t.Fatalf("job %s final summary %+v, want done=total=%d", jobs[i].ID, sum, jobs[i].Cells)
+		}
+	}
+}

@@ -218,13 +218,6 @@ func (p *SweepProgress) version() uint64 {
 	return p.ver
 }
 
-// finished reports whether every cell reached a terminal state.
-func (p *SweepProgress) finished() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.cells) > 0 && p.done == len(p.cells)
-}
-
 // WriteNDJSON writes the current snapshot as NDJSON: one CellLine per
 // cell in canonical order, then one SummaryLine.
 func (p *SweepProgress) WriteNDJSON(w io.Writer) error {
@@ -251,7 +244,8 @@ type flusher interface{ Flush() }
 // streaming: on every state change (polled at the given interval) it
 // emits the transitioned cells and a fresh SummaryLine, until the sweep
 // finishes or the writer errors (client gone). done receives an
-// optional external stop signal (may be nil).
+// optional external stop signal (may be nil). The stream may open
+// before Start: cells registered later are emitted as transitions.
 func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <-chan struct{}) error {
 	if p == nil {
 		return nil
@@ -260,45 +254,12 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		interval = 250 * time.Millisecond
 	}
 	enc := json.NewEncoder(w)
-	p.mu.Lock()
-	lines, sum := p.snapshotLocked()
-	last := make([]string, len(p.cells))
-	for i, c := range p.cells {
-		last[i] = c.state
-	}
-	ver := p.ver
-	p.mu.Unlock()
-	for _, l := range lines {
-		if err := enc.Encode(l); err != nil {
-			return err
-		}
-	}
-	if err := enc.Encode(sum); err != nil {
-		return err
-	}
-	if f, ok := w.(flusher); ok {
-		f.Flush()
-	}
-	for !p.finished() {
-		select {
-		case <-done:
-			return nil
-		case <-time.After(interval):
-		}
-		if p.version() == ver {
-			continue
-		}
-		p.mu.Lock()
-		lines, sum = p.snapshotLocked()
-		changed := lines[:0:0]
-		for i := range p.cells {
-			if p.cells[i].state != last[i] {
-				last[i] = p.cells[i].state
-				changed = append(changed, lines[i])
-			}
-		}
-		ver = p.ver
-		p.mu.Unlock()
+	var last []string
+	var ver uint64
+	for {
+		var changed []CellLine
+		var sum SummaryLine
+		changed, sum, last, ver = p.transitions(last)
 		for _, l := range changed {
 			if err := enc.Encode(l); err != nil {
 				return err
@@ -310,6 +271,40 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		if f, ok := w.(flusher); ok {
 			f.Flush()
 		}
+		if sum.Total > 0 && sum.Done == sum.Total {
+			return nil // every cell terminal and the final summary sent
+		}
+		for {
+			select {
+			case <-done:
+				return nil
+			case <-time.After(interval):
+			}
+			if p.version() != ver {
+				break
+			}
+		}
 	}
-	return nil
+}
+
+// transitions renders the summary and the cells whose state differs
+// from last, and returns last updated to the current states along with
+// the version rendered. last is re-sized whenever the cell count
+// differs from it (the first call, or Start registering cells since),
+// so every cell of a new cell set counts as a transition.
+func (p *SweepProgress) transitions(last []string) ([]CellLine, SummaryLine, []string, uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	lines, sum := p.snapshotLocked()
+	if len(last) != len(p.cells) {
+		last = make([]string, len(p.cells))
+	}
+	changed := lines[:0]
+	for i, c := range p.cells {
+		if c.state != last[i] {
+			last[i] = c.state
+			changed = append(changed, lines[i])
+		}
+	}
+	return changed, sum, last, p.ver
 }

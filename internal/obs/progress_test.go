@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestProgressNDJSONSchema walks a three-cell sweep through its
@@ -118,5 +121,52 @@ func TestProgressOutOfRange(t *testing.T) {
 	_, sum := decodeProgress(t, p)
 	if sum.Done != 0 || sum.Running != 0 {
 		t.Fatalf("summary after stray indices = %+v", sum)
+	}
+}
+
+// firstWriteSignal is a buffer that closes first on its first write.
+type firstWriteSignal struct {
+	bytes.Buffer
+	first chan struct{}
+	once  sync.Once
+}
+
+func (w *firstWriteSignal) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.first) })
+	return w.Buffer.Write(b)
+}
+
+// TestStreamOpenedBeforeStart is the regression test for a follow stream
+// that opens on a fresh tracker: its first snapshot has no cells, so the
+// cells Start registers later must be streamed as transitions through
+// to the final summary — not index past the stream's per-cell state
+// while the tracker's lock is held, wedging every later update.
+func TestStreamOpenedBeforeStart(t *testing.T) {
+	p := NewSweepProgress("early")
+	w := &firstWriteSignal{first: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() { errc <- p.StreamNDJSON(w, time.Millisecond, nil) }()
+	<-w.first // the empty snapshot is out
+	p.Start([]string{"c0", "c1"})
+	p.CellRunning(0)
+	p.CellDone(0, "fp0", nil)
+	p.CellCached(1, "fp1")
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream did not finish after Start and every cell completed")
+	}
+	out := w.String()
+	for _, want := range []string{`"fp0"`, `"fp1"`, `"done":2`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stream lacks %s:\n%s", want, out)
+		}
+	}
+	// The tracker is still usable: its lock was released.
+	if _, sum := decodeProgress(t, p); sum.Done != 2 {
+		t.Fatalf("summary after stream: %+v", sum)
 	}
 }

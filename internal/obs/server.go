@@ -60,9 +60,21 @@ func NewServer(reg *Registry, prog ProgressReporter) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
+
+// A client that stalls mid-header, or parks an idle keep-alive
+// connection, is disconnected after these. There is no write timeout:
+// follow streams and job results may legitimately run for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Handle mounts an additional route on the observability mux — how
 // cmd/sweepd's job API (POST /jobs, GET /jobs/{id}, ...) extends the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,5 +147,32 @@ func TestListenAndClose(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStalledHeaderDisconnected: a client that sends half a request
+// header and then stalls is disconnected once ReadHeaderTimeout passes,
+// instead of holding its connection open forever.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.IdleTimeout <= 0 {
+		t.Fatalf("server timeouts unset: header %v idle %v", srv.srv.ReadHeaderTimeout, srv.srv.IdleTimeout)
+	}
+	srv.srv.ReadHeaderTimeout = 50 * time.Millisecond // keep the test fast
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: stall\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
 	}
 }

@@ -93,7 +93,7 @@ func BenchmarkAdvanceTraced(b *testing.B) {
 }
 
 // BenchmarkSchedulerRun measures a whole simulation: procs × advances
-// virtual operations including goroutine handoff and the proc-pool
+// virtual operations including coroutine handoffs and the core-pool
 // recycling across runs, the end-to-end cost a workload harness run pays
 // per simulated op.
 func BenchmarkSchedulerRun(b *testing.B) {

@@ -14,7 +14,7 @@ import (
 )
 
 // tracedBlockingRun executes a canonical workload that exercises every
-// per-rank state class — horizons (advances), wake channels (block/wake),
+// per-rank state class — horizons (advances), coroutines (block/wake),
 // barriers and trace buffers — and returns its full event stream and
 // makespan. Byte-identical output is the ground truth for reuse tests.
 func tracedBlockingRun(t *testing.T) ([]trace.Event, int64) {
@@ -49,13 +49,13 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 	wantEvs, wantMax := tracedBlockingRun(t)
 
 	// Pollute the pool: a traced run (handles get trace buffers), then an
-	// errored run whose teardown leaves stale tokens in wake channels,
-	// both at shapes different from the canonical run's.
+	// errored run whose teardown stops parked coroutines, both at shapes
+	// different from the canonical run's.
 	tracedBlockingRun(t)
 	s := New(Config{Procs: 6, ShardSize: 3, TimeLimit: 100})
 	if err := s.Run(func(h *Handle) {
 		if h.ID() == 0 {
-			h.Block() // parked at teardown: its wake channel gets the abort token
+			h.Block() // parked at teardown: its coroutine is stopped
 		}
 		for {
 			h.Advance(30)
@@ -63,11 +63,19 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 	}); !errors.Is(err, ErrTimeLimit) {
 		t.Fatalf("err=%v want ErrTimeLimit", err)
 	}
+	// The pooled core keeps no coroutine closures: every rank's coroutine
+	// finished or was stopped, across the core's full capacity.
+	core := s.core
 	s.Release()
+	for i, c := range core.coros[:cap(core.coros)] {
+		if c.resume != nil || c.yield != nil || c.stop != nil {
+			t.Errorf("rank %d: pooled core kept a coroutine closure", i)
+		}
+	}
 
 	// A reacquired scheduler must be indistinguishable from a fresh one:
 	// zeroed hot state and flags, rebuilt handles without stale trace
-	// buffers, drained wake channels, empty heap.
+	// buffers, empty heap.
 	s = New(Config{Procs: 4, ShardSize: 2})
 	for i := 0; i < 4; i++ {
 		if s.hot[i] != (hotState{}) {
@@ -82,13 +90,6 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 		}
 		if h.tb != nil {
 			t.Errorf("rank %d: handle kept a stale trace buffer", i)
-		}
-		if ch := s.wakes[i]; ch != nil {
-			select {
-			case <-ch:
-				t.Errorf("rank %d: stale wake token survived reacquire", i)
-			default:
-			}
 		}
 	}
 	if s.heap.size != 0 {

@@ -1,31 +1,47 @@
 // Package sim implements a deterministic discrete-event scheduler for
 // simulated distributed processes.
 //
-// Each simulated process is a goroutine with a virtual clock (nanoseconds).
-// The scheduler admits exactly one process at a time: the one with the
-// minimum (clock, id) pair. A process runs until it calls Advance (charging
-// virtual time for an operation it just performed), Barrier, or Exit, at
-// which point the token is handed to the new minimum. Execution is therefore
-// a fully deterministic sequential interleaving in virtual-time order,
-// independent of the host's core count and of the Go scheduler.
+// Each simulated process (rank) has a virtual clock (nanoseconds). The
+// scheduler admits exactly one process at a time: the one with the
+// minimum (clock, id) pair. A process runs until it calls Advance
+// (charging virtual time for an operation it just performed), Block,
+// Barrier, or returns, at which point the token is handed to the new
+// minimum. Execution is therefore a fully deterministic sequential
+// interleaving in virtual-time order, independent of the host's core
+// count and of the Go scheduler.
+//
+// # The driver loop and rank coroutines
+//
+// Each rank's body runs as a coroutine (iter.Pull) resumed by a loop in
+// Run, on the goroutine that called Run. A rank that hands the token on
+// records its successor in Scheduler.next and yields back to the loop,
+// which resumes the successor. A coroutine switch runs the target
+// directly on the current OS thread — no channel, futex or Go scheduler
+// wake-up — so a handoff is two switches (rank to loop, loop to rank).
+// Exactly one of the loop and the coroutines runs at any instant, and
+// every switch is a happens-before edge, so scheduler state needs no
+// mutex.
+//
+// Teardown needs no wake-up either. A time limit, deadlock, Abort or
+// panicking body records the first error and leaves next unset, which
+// ends the loop; Run then stops every coroutine still parked, whose
+// yield returns false, so it unwinds with abortSignal.
 //
 // # Token ownership and the fast path
 //
-// The scheduler is built around token ownership: exactly one process (the
-// token holder) executes at any time, and everything the holder does to its
-// own virtual clock is invisible to the other processes until the token is
-// handed over. When a process is dispatched it caches a horizon — the
-// largest clock it can reach while provably remaining the minimum
-// (heap-top clock adjusted for the (clock, id) tie-break, clamped to the
-// time limit). As long as an Advance stays at or below the horizon it is a
-// lock-free, heap-free, channel-free clock increment: two compares and an
-// add, zero allocations. Only a genuine handoff (crossing the horizon)
-// takes the mutex and touches the sharded min-heap. The horizon is
-// only ever written by the dispatching goroutine before the wake-channel
-// send (or by the holder itself via Wake), so the fast path needs no
-// atomics. The refsim subpackage preserves the original global-mutex
-// scheduler; the differential determinism suite in internal/workload
-// checks both engines produce byte-identical results.
+// Everything the token holder does to its own virtual clock is invisible
+// to the other processes until the token is handed over. When a process
+// is dispatched it caches a horizon — the largest clock it can reach
+// while provably remaining the minimum (heap-top clock adjusted for the
+// (clock, id) tie-break, clamped to the time limit). As long as an
+// Advance stays at or below the horizon it is a heap-free, switch-free
+// clock increment: two compares and an add, zero allocations. Only a
+// genuine handoff (crossing the horizon) touches the sharded min-heap
+// and yields. The horizon is written only by dispatch (before the switch
+// to the new holder) or by the holder itself via Wake. The refsim
+// subpackage preserves the original global-mutex scheduler; the
+// differential determinism suite in internal/workload checks both
+// engines produce byte-identical results.
 //
 // # Memory-flat proc state
 //
@@ -33,13 +49,13 @@
 // horizons and scheduling flags live in flat slices, the pending-process
 // queue (see shardHeap) traffics in int32 rank ids, and a Handle caches
 // pointers into the clock/horizon slices so the fast path stays a plain
-// increment. Process goroutines are spawned lazily, driven by dispatch: a
-// rank that has never run is represented implicitly by its (0, id) key —
-// the virtual start entries [nextStart, Procs) — and its goroutine starts
-// already holding the token. Wake channels are likewise allocated only
-// when a rank first parks. A 10^6-rank machine whose ranks run one after
-// another therefore pays for goroutine stacks and channels only as ranks
-// genuinely interleave, and the flat state costs ~61 bytes per rank.
+// increment. Coroutines are created lazily, by dispatch: a rank that has
+// never run is represented implicitly by its (0, id) key — the virtual
+// start entries [nextStart, Procs) — and its coroutine is created when
+// that key first becomes the minimum. A 10^6-rank machine whose ranks
+// run one after another therefore pays for coroutine stacks only as
+// ranks genuinely interleave, and the flat state costs ~77 bytes per
+// rank.
 //
 // The package knows nothing about RMA; package rma layers windows, latency
 // and contention modeling on top of it.
@@ -69,8 +85,8 @@ var ErrDeadlock = errors.New("sim: deadlock: all live processes blocked in barri
 // throughout the scheduler core (heap entries, shard indices, handles).
 const MaxProcs = math.MaxInt32
 
-// abortSignal is panicked inside process goroutines when the simulation is
-// torn down early; the Run wrapper recovers it.
+// abortSignal is panicked inside rank coroutines when the simulation is
+// torn down early; runProc recovers it.
 type abortSignal struct{}
 
 // Per-rank scheduling flags (the state slice of the SoA layout).
@@ -78,12 +94,11 @@ const (
 	stInHeap uint8 = 1 << iota
 	stBlocked
 	stExited
-	stStarted
 )
 
 // Handle is a per-process handle passed to the process body. Its methods
-// must only be called from that process's goroutine (except Wake/WakeAt,
-// which the current token holder calls on a blocked process's handle).
+// must only be called from that process's body (except Wake/WakeAt, which
+// the current token holder calls on a blocked process's handle).
 // Handles live in one flat slice owned by the scheduler; clock and
 // horizon cache pointers into the scheduler's SoA state so the Advance
 // fast path needs no bounds checks or extra indirection.
@@ -96,8 +111,8 @@ type Handle struct {
 	// a per-proc struct, without the per-proc allocation).
 	hs *hotState
 	// tb is the proc's ClassCharge trace buffer; nil unless charge
-	// tracing is enabled. Only the slow (already-locked) paths emit
-	// through it: the lock-free Advance fast path stays byte-for-byte
+	// tracing is enabled. Only the slow (handoff) paths emit through
+	// it: the Advance fast path stays byte-for-byte
 	// untouched by tracing — a fast-path advance is exactly the
 	// publication that no other process can observe, so the charge
 	// stream loses nothing by recording only handoffs (here) and
@@ -122,28 +137,30 @@ func (h *Handle) Horizon() int64 { return h.hs.horizon }
 // Scheduler coordinates the virtual clocks of a fixed set of processes.
 // All per-rank state is struct-of-arrays, indexed by rank id.
 type Scheduler struct {
-	mu sync.Mutex
-	n  int32
+	n int32
 	// SoA per-rank state. hot packs each rank's (clock, horizon) pair —
 	// the only fields the Advance fast path and the heap order touch —
 	// in one flat slice; scheduling flags live beside it in state.
 	hot   []hotState
 	state []uint8
-	// wakes holds the per-rank wake channels, allocated lazily the first
-	// time a rank parks (ranks that never lose the token never allocate
-	// one). A send hands the execution token to the receiver.
-	wakes   []chan struct{}
+	// coros holds each rank's coroutine, created by its first dispatch
+	// and cleared when its body returns or is stopped, so a finished Run
+	// leaves no closure behind.
+	coros   []coro
 	handles []Handle
 	heap    shardHeap
 	// running is the current token holder (horizon cache owner); -1
 	// before the first dispatch.
 	running int32
-	// nextStart is the first rank whose goroutine has not been spawned
-	// yet: ranks [nextStart, n) are implicitly pending at (clock 0, id),
-	// merged with the real heap by topKeyLocked. Dispatching one spawns
-	// its goroutine, which starts running with the token (no initial
-	// park), so goroutines and wake channels materialize only as the
-	// simulation genuinely interleaves.
+	// next is the rank Run's loop resumes next: set by a rank handing
+	// the token on just before it yields or returns, -1 when none (the
+	// run is over, or failed).
+	next int32
+	// nextStart is the first rank that has not been dispatched yet:
+	// ranks [nextStart, n) are implicitly pending at (clock 0, id),
+	// merged with the real heap by topKey. Dispatching one creates its
+	// coroutine, so coroutines materialize only as the simulation
+	// genuinely interleaves.
 	nextStart int32
 	live      int
 	arrived   []int32     // processes blocked in the current barrier
@@ -151,9 +168,18 @@ type Scheduler struct {
 	timeLimit int64       // 0 = unlimited
 	tsink     *trace.Sink // non-nil only when ClassSched tracing is on
 	body      func(h *Handle)
-	wg        sync.WaitGroup
 	core      *schedCore
 	err       error
+}
+
+// coro is one rank's coroutine: resume switches to it until it yields
+// the token (true) or its body is done (false); yield, called by the rank
+// itself, switches back to Run's loop and reports false once stop has
+// been called; stop unwinds a parked rank (see pull).
+type coro struct {
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // Config holds scheduler construction parameters.
@@ -187,9 +213,8 @@ type Config struct {
 	Gate *obs.GateMetrics
 }
 
-// corePool recycles scheduler cores — the SoA state slices, the wake
-// channels already allocated by earlier runs, and the heap/arrived
-// backing arrays — across scheduler instances, so hot sweep loops that
+// corePool recycles scheduler cores — the SoA state slices, handles and
+// the heap/arrived backing arrays — across scheduler instances, so hot sweep loops that
 // build one machine per cell stop re-allocating them. Release returns a
 // scheduler's core to the pool.
 var corePool sync.Pool
@@ -197,7 +222,7 @@ var corePool sync.Pool
 type schedCore struct {
 	hot     []hotState
 	state   []uint8
-	wakes   []chan struct{}
+	coros   []coro
 	handles []Handle
 	arrived []int32
 	shards  [][]int32
@@ -229,7 +254,7 @@ func New(cfg Config) *Scheduler {
 	s.core = core
 	s.hot = resizeHot(core.hot, n)
 	s.state = resizeState(core.state, n)
-	s.wakes = resizeWakes(core.wakes, n)
+	s.coros = resizeCoros(core.coros, n)
 	s.handles = resizeHandles(core.handles, n)
 	s.arrived = core.arrived[:0]
 	var tsink *trace.Sink
@@ -283,26 +308,12 @@ func resizeState(a []uint8, n int) []uint8 {
 	return a
 }
 
-// resizeWakes keeps channels allocated by earlier runs (they are the
-// expensive part of the core) but drains any stale teardown token: a
-// failed run sends on every channel, and a pooled channel must not wake
-// its next owner spuriously. The full capacity region is drained, not
-// just [:n] — a shrink followed by a regrow would otherwise resurface a
-// stale token.
-func resizeWakes(ws []chan struct{}, n int) []chan struct{} {
-	full := ws[:cap(ws)]
-	for _, ch := range full {
-		if ch != nil {
-			select {
-			case <-ch:
-			default:
-			}
-		}
+// resizeCoros needs no clearing: Run leaves every entry zero.
+func resizeCoros(cs []coro, n int) []coro {
+	if cap(cs) >= n {
+		return cs[:n]
 	}
-	if cap(ws) >= n {
-		return ws[:n]
-	}
-	return append(full, make([]chan struct{}, n-cap(ws))...)
+	return make([]coro, n)
 }
 
 func resizeHandles(hs []Handle, n int) []Handle {
@@ -321,35 +332,48 @@ func (s *Scheduler) Release() {
 		return
 	}
 	core.hot, core.state = s.hot, s.state
-	core.wakes, core.handles, core.arrived = s.wakes, s.handles, s.arrived
+	core.coros, core.handles, core.arrived = s.coros, s.handles, s.arrived
 	core.shards, core.top, core.topPos = s.heap.shards, s.heap.top, s.heap.topPos
-	s.hot, s.state, s.wakes, s.handles, s.arrived = nil, nil, nil, nil, nil
+	s.hot, s.state, s.coros, s.handles, s.arrived = nil, nil, nil, nil, nil
 	s.heap = shardHeap{}
 	s.core = nil
 	s.running = -1
 	corePool.Put(core)
 }
 
-// Run executes body(handle) once per process, each in its own goroutine,
+// Run executes body(handle) once per process, each in its own coroutine,
 // and returns when all processes have exited (or the simulation aborted).
-// Goroutines are spawned lazily in dispatch order — a rank's goroutine
-// starts when its (0, id) key first becomes the minimum, already holding
-// the token. A panic inside a body aborts the whole simulation and is
-// returned as an error. Run may only be called once per Scheduler.
+// Coroutines are created lazily in dispatch order — a rank's coroutine
+// starts when its (0, id) key first becomes the minimum. A panic inside a
+// body aborts the whole simulation and is returned as an error. Run may
+// only be called once per Scheduler.
 func (s *Scheduler) Run(body func(h *Handle)) error {
 	s.body = body
-	s.mu.Lock()
-	s.resumeLocked(s.dispatchLocked()) // rank 0: the (0, 0) minimum
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.next = s.dispatch() // rank 0: the (0, 0) minimum
+	for s.next >= 0 {
+		id := s.next
+		s.next = -1
+		c := &s.coros[id]
+		if c.resume == nil {
+			s.pull(id)
+		}
+		if _, ok := c.resume(); !ok {
+			*c = coro{}
+		}
+	}
+	// Only a failed run leaves ranks parked: stopping one makes its
+	// yield return false, and it unwinds with abortSignal.
+	for i := range s.coros {
+		if c := &s.coros[i]; c.stop != nil {
+			c.stop()
+			*c = coro{}
+		}
+	}
 	return s.err
 }
 
-// runProc is the goroutine of one simulated process, spawned by the
-// dispatch that first selects the rank. It runs body immediately: the
-// spawn IS the wake, so a fresh rank needs no channel round trip.
+// runProc is the body of rank id's coroutine.
 func (s *Scheduler) runProc(id int32) {
-	defer s.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); ok {
@@ -364,17 +388,11 @@ func (s *Scheduler) runProc(id int32) {
 }
 
 // Err returns the error recorded by the simulation, if any.
-func (s *Scheduler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *Scheduler) Err() error { return s.err }
 
 // MaxClock returns the largest virtual clock reached by any process. It is
 // meaningful after Run returns (total simulated makespan).
 func (s *Scheduler) MaxClock() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var max int64
 	for i := range s.hot {
 		if c := s.hot[i].clock; c > max {
@@ -391,7 +409,7 @@ func (s *Scheduler) MaxClock() int64 {
 //
 // Fast path: while the new clock stays at or below the cached horizon the
 // process provably remains the minimum, so the charge is a plain local
-// increment — no lock, no heap, no channel, no allocation.
+// increment — no heap, no coroutine switch, no allocation.
 func (h *Handle) Advance(d int64) {
 	if d < 1 {
 		d = 1
@@ -404,36 +422,27 @@ func (h *Handle) Advance(d int64) {
 	h.advanceSlow(d)
 }
 
-// advanceSlow is the genuine-handoff path of Advance: re-queue under the
-// lock and hand the token to the new minimum (possibly ourselves, when
-// only the time-limit clamp forced us off the fast path).
+// advanceSlow is the genuine-handoff path of Advance: re-queue and hand
+// the token to the new minimum (possibly ourselves, when only the
+// time-limit clamp forced us off the fast path).
 func (h *Handle) advanceSlow(d int64) {
 	s := h.s
-	s.mu.Lock()
 	if s.err != nil {
-		s.mu.Unlock()
 		panic(abortSignal{})
 	}
 	c := h.hs.clock + d
 	h.hs.clock = c
 	if s.timeLimit > 0 && c > s.timeLimit {
-		s.failLocked(fmt.Errorf("%w (process %d at %d ns)", ErrTimeLimit, h.id, c))
-		s.mu.Unlock()
+		s.fail(fmt.Errorf("%w (process %d at %d ns)", ErrTimeLimit, h.id, c))
 		panic(abortSignal{})
 	}
 	if h.tb != nil {
 		h.tb.Emit(trace.EvAdvance, c, d, 0, 0)
 	}
 	s.push(h.id)
-	next := s.dispatchLocked()
-	if next == h.id {
-		s.mu.Unlock()
-		return
+	if next := s.dispatch(); next != h.id {
+		h.park(next)
 	}
-	ch := s.wakeChanLocked(h.id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
 }
 
 // Barrier blocks until every live process has called Barrier, then sets all
@@ -441,9 +450,7 @@ func (h *Handle) advanceSlow(d int64) {
 func (h *Handle) Barrier() {
 	s := h.s
 	id := h.id
-	s.mu.Lock()
 	if s.err != nil {
-		s.mu.Unlock()
 		panic(abortSignal{})
 	}
 	s.state[id] |= stBlocked
@@ -453,30 +460,19 @@ func (h *Handle) Barrier() {
 	s.arrived = append(s.arrived, id)
 	if len(s.arrived) == s.live {
 		// Last arriver releases everyone.
-		s.releaseBarrierLocked()
-		next := s.dispatchLocked()
-		if next == id {
-			s.mu.Unlock()
-			return
+		s.releaseBarrier()
+		if next := s.dispatch(); next != id {
+			h.park(next)
 		}
-		ch := s.wakeChanLocked(id)
-		s.resumeLocked(next)
-		s.mu.Unlock()
-		h.park(ch)
 		return
 	}
 	// Hand the token over; non-arrived live processes are in the heap or
 	// not yet started.
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+	if !s.hasRunnable() {
+		s.fail(ErrDeadlock)
 		panic(abortSignal{})
 	}
-	next := s.dispatchLocked()
-	ch := s.wakeChanLocked(id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
+	h.park(s.dispatch())
 }
 
 // Block removes the calling process from scheduling until another process
@@ -487,33 +483,25 @@ func (h *Handle) Barrier() {
 func (h *Handle) Block() {
 	s := h.s
 	id := h.id
-	s.mu.Lock()
 	if s.err != nil {
-		s.mu.Unlock()
 		panic(abortSignal{})
 	}
 	s.state[id] |= stBlocked
 	if s.tsink != nil {
 		s.tsink.Buf(int(id), trace.ClassSched).Emit(trace.EvBlock, h.hs.clock, 0, 0, 0)
 	}
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+	if !s.hasRunnable() {
+		s.fail(ErrDeadlock)
 		panic(abortSignal{})
 	}
-	next := s.dispatchLocked()
-	ch := s.wakeChanLocked(id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
+	h.park(s.dispatch())
 }
 
-// releaseBarrierLocked completes the current barrier: every arrived
-// process's clock synchronizes to the maximum arrival time plus the
-// barrier cost, and all are re-queued as runnable. Shared by Barrier
-// (last arriver) and exit (an exit can complete a pending barrier).
-// Caller must hold s.mu.
-func (s *Scheduler) releaseBarrierLocked() {
+// releaseBarrier completes the current barrier: every arrived process's
+// clock synchronizes to the maximum arrival time plus the barrier cost,
+// and all are re-queued as runnable. Shared by Barrier (last arriver) and
+// exit (an exit can complete a pending barrier).
+func (s *Scheduler) releaseBarrier() {
 	var max int64
 	for _, q := range s.arrived {
 		if c := s.hot[q].clock; c > max {
@@ -537,21 +525,17 @@ func (s *Scheduler) releaseBarrierLocked() {
 func (h *Handle) WakeAt(clock int64) {
 	s := h.s
 	q := h.id
-	s.mu.Lock()
 	if s.err != nil {
 		// The simulation is tearing down: the target may already be
 		// unwinding (its blocked flag is stale), so waking it is both
 		// unsafe and pointless. Abort like Advance/Barrier/Block do.
-		s.mu.Unlock()
 		panic(abortSignal{})
 	}
 	st := s.state[q]
 	if st&stExited != 0 {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("sim: Wake of exited process %d (its body already returned)", q))
 	}
 	if st&stBlocked == 0 {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("sim: Wake of non-blocked process %d", q))
 	}
 	s.state[q] = st &^ stBlocked
@@ -567,9 +551,8 @@ func (h *Handle) WakeAt(clock int64) {
 	}
 	s.push(q)
 	if r := s.running; r >= 0 {
-		s.hot[r].horizon = s.horizonForLocked(r)
+		s.hot[r].horizon = s.horizonFor(r)
 	}
-	s.mu.Unlock()
 }
 
 // Wake makes the blocked process q runnable again with its virtual clock
@@ -579,28 +562,21 @@ func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
 
 // Abort terminates the simulation with err: the error is recorded (first
 // failure wins, wrapped with the aborting process and its virtual time,
-// errors.Is-visible), every parked process is released to unwind, and the
-// calling goroutine unwinds immediately — Abort never returns. Must be
-// called by the running process itself. All three engines surface aborts
+// errors.Is-visible), every parked process is unwound, and the calling
+// process unwinds immediately — Abort never returns. Must be called by
+// the running process itself. All three engines surface aborts
 // identically (conformance-tested).
 func (h *Handle) Abort(err error) {
-	s := h.s
-	s.mu.Lock()
-	s.failLocked(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
-	s.mu.Unlock()
+	h.s.fail(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
 	panic(abortSignal{})
 }
 
-// park blocks the calling process until it is woken with the token. ch is
-// the caller's wake channel, resolved under the mutex by the slow path
-// that decided to park (wakeChanLocked), so no wake can be sent before
-// the channel exists.
-func (h *Handle) park(ch chan struct{}) {
-	<-ch
-	h.s.mu.Lock()
-	err := h.s.err
-	h.s.mu.Unlock()
-	if err != nil {
+// park hands the token to the dispatched rank next and suspends the
+// caller until Run's loop resumes it with the token again.
+func (h *Handle) park(next int32) {
+	s := h.s
+	s.next = next
+	if !s.coros[h.id].yield(struct{}{}) || s.err != nil {
 		panic(abortSignal{})
 	}
 }
@@ -609,71 +585,47 @@ func (h *Handle) park(ch chan struct{}) {
 func (h *Handle) exit() {
 	s := h.s
 	id := h.id
-	s.mu.Lock()
 	if s.err != nil {
-		s.mu.Unlock()
 		return
 	}
 	s.state[id] |= stExited
 	s.live--
 	if s.live == 0 {
-		s.mu.Unlock()
 		return
 	}
 	// A barrier that was waiting for us can now be complete. Invariant:
 	// s.live >= 1 here (the live == 0 case returned above), so a matching
 	// arrived count means every remaining live process is in the barrier.
 	if len(s.arrived) == s.live {
-		s.releaseBarrierLocked()
+		s.releaseBarrier()
 	}
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+	if !s.hasRunnable() {
+		s.fail(ErrDeadlock)
 		return
 	}
-	s.resumeLocked(s.dispatchLocked())
-	s.mu.Unlock()
+	s.next = s.dispatch()
 }
 
-// fail aborts the simulation with err (first error wins) and wakes every
-// parked process so its goroutine can unwind.
+// fail records err as the simulation's error; the first error wins. It
+// never hands the token on, so Run's loop ends once the failing rank
+// yields control back.
 func (s *Scheduler) fail(err error) {
-	s.mu.Lock()
-	s.failLocked(err)
-	s.mu.Unlock()
-}
-
-// failLocked must be called with s.mu held (every failure site already
-// holds it, which is why no sync.Once is needed: first error wins). Only
-// ranks that ever parked own a wake channel; the others are either
-// running (the failing goroutine itself), already exited, or never
-// spawned — none of them is blocked on a receive.
-func (s *Scheduler) failLocked(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-	for i, ch := range s.wakes {
-		if ch == nil || s.state[i]&stExited != 0 {
-			continue
-		}
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// hasRunnableLocked reports whether any process is pending dispatch:
-// queued in the heap or not yet started. Caller must hold s.mu.
-func (s *Scheduler) hasRunnableLocked() bool {
+// hasRunnable reports whether any process is pending dispatch: queued in
+// the heap or not yet started.
+func (s *Scheduler) hasRunnable() bool {
 	return s.heap.size > 0 || s.nextStart < s.n
 }
 
-// topKeyLocked returns the minimum pending (clock, id) across the real
-// heap and the virtual start entries: rank nextStart, pending at clock 0,
-// stands for every not-yet-started rank (they all share clock 0, so the
-// smallest id is the only candidate). Caller must hold s.mu.
-func (s *Scheduler) topKeyLocked() (clock int64, id int32, ok bool) {
+// topKey returns the minimum pending (clock, id) across the real heap and
+// the virtual start entries: rank nextStart, pending at clock 0, stands
+// for every not-yet-started rank (they all share clock 0, so the smallest
+// id is the only candidate).
+func (s *Scheduler) topKey() (clock int64, id int32, ok bool) {
 	c, top, hok := s.heap.peek()
 	if s.nextStart < s.n {
 		// Queued ranks are always started, so top != nextStart; the
@@ -685,15 +637,14 @@ func (s *Scheduler) topKeyLocked() (clock int64, id int32, ok bool) {
 	return c, top, hok
 }
 
-// dispatchLocked removes the new minimum from the pending set (real heap
-// or virtual start entries), records it as the token holder and caches
-// its fast-path horizon. Caller must hold s.mu and resume it via
-// resumeLocked (unless the minimum is the caller itself). A genuine
-// handoff (the token changing hands) emits an EvDispatch event into the
-// new holder's stream; writes to a parked proc's trace buffer
-// happen-before the wake send (or the spawning go statement), so capture
-// stays race-free.
-func (s *Scheduler) dispatchLocked() int32 {
+// dispatch removes the new minimum from the pending set (real heap or
+// virtual start entries), records it as the token holder and caches its
+// fast-path horizon. Unless the minimum is the caller itself, the caller
+// then passes it to park (or, on exit, to s.next). A genuine handoff (the
+// token changing hands) emits an EvDispatch event into the new holder's
+// stream; writes to a parked proc's trace buffer happen-before the
+// coroutine switch that resumes it, so capture stays race-free.
+func (s *Scheduler) dispatch() int32 {
 	var next int32
 	c, top, hok := s.heap.peek()
 	if s.nextStart < s.n && (!hok || c > 0 || (c == 0 && s.nextStart < top)) {
@@ -702,7 +653,7 @@ func (s *Scheduler) dispatchLocked() int32 {
 	} else {
 		next = s.popMin()
 	}
-	s.hot[next].horizon = s.horizonForLocked(next)
+	s.hot[next].horizon = s.horizonFor(next)
 	if s.tsink != nil && next != s.running {
 		prev := int64(-1)
 		if s.running >= 0 {
@@ -714,29 +665,14 @@ func (s *Scheduler) dispatchLocked() int32 {
 	return next
 }
 
-// resumeLocked transfers control to the dispatched rank: the first
-// dispatch of a rank spawns its goroutine (which starts running the body
-// immediately — the spawn is the wake), later ones send the token on its
-// wake channel. Caller must hold s.mu.
-func (s *Scheduler) resumeLocked(next int32) {
-	if s.state[next]&stStarted == 0 {
-		s.state[next] |= stStarted
-		s.wg.Add(1)
-		go s.runProc(next)
-		return
-	}
-	s.sendWake(next)
-}
-
-// horizonForLocked derives rank id's fast-path horizon from the pending
-// minimum: id keeps the token while (clock, id) stays lexicographically
-// at or below the top's, so it may reach the top clock exactly when its
-// id wins the tie-break. The time limit is folded in so the fast path
-// detects limit crossings with the same single compare. Caller must hold
-// s.mu; id must not be pending.
-func (s *Scheduler) horizonForLocked(id int32) int64 {
+// horizonFor derives rank id's fast-path horizon from the pending minimum:
+// id keeps the token while (clock, id) stays lexicographically at or
+// below the top's, so it may reach the top clock exactly when its id wins
+// the tie-break. The time limit is folded in so the fast path detects
+// limit crossings with the same single compare. id must not be pending.
+func (s *Scheduler) horizonFor(id int32) int64 {
 	hz := int64(math.MaxInt64)
-	if c, top, ok := s.topKeyLocked(); ok {
+	if c, top, ok := s.topKey(); ok {
 		hz = c
 		if id > top {
 			hz--
@@ -746,27 +682,6 @@ func (s *Scheduler) horizonForLocked(id int32) int64 {
 		hz = s.timeLimit
 	}
 	return hz
-}
-
-// wakeChanLocked returns rank id's wake channel, allocating it on first
-// park. Caller must hold s.mu; because every wake send also happens under
-// s.mu, a channel resolved here is visible to all future wakers before
-// the caller can park on it.
-func (s *Scheduler) wakeChanLocked(id int32) chan struct{} {
-	ch := s.wakes[id]
-	if ch == nil {
-		ch = make(chan struct{}, 1)
-		s.wakes[id] = ch
-	}
-	return ch
-}
-
-func (s *Scheduler) sendWake(id int32) {
-	select {
-	case s.wakes[id] <- struct{}{}:
-	default:
-		// Already has a pending wake (only possible during teardown).
-	}
 }
 
 func (s *Scheduler) push(id int32) {

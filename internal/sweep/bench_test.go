@@ -5,7 +5,7 @@ package sweep_test
 // workload benchmarks these feed BENCH_3.json (`make bench`), the
 // repository's persisted performance trajectory. The allocs/op figure is
 // what the scheduler proc pool and the harness report-buffer pool push
-// down: repeated cells reuse procs, wake channels and sample buffers.
+// down: repeated cells reuse procs, scheduler cores and sample buffers.
 
 import (
 	"fmt"

@@ -13,9 +13,10 @@
 // — for dispatch/wake events — to a parked rank's buffer strictly before
 // the token handoff that resumes it, so capture needs no locks and no
 // atomics: an emission is a slice append plus a sequence increment. The
-// happens-before edges of the scheduler's mutex + wake channels make the
-// whole capture race-clean (the differential suite runs traced cells
-// under -race).
+// happens-before edges of the engines' handoffs (coroutine switches in
+// internal/sim, a mutex and channels in refsim and psim) make the whole
+// capture race-clean (the differential suite runs traced cells under
+// -race).
 //
 // Events carry the emitting rank's virtual clock; the canonical merged
 // order is (Clock, Rank, Seq). Because the simulation itself is a
