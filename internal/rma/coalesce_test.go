@@ -8,9 +8,11 @@ package rma
 // suite builds on.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"rmalocks/internal/sim"
 	"rmalocks/internal/topology"
 )
 
@@ -138,5 +140,37 @@ func TestMachineRunReuse(t *testing.T) {
 	}
 	if clks[0] != clks[1] || clks[1] != clks[2] {
 		t.Errorf("re-runs diverged: %v", clks)
+	}
+}
+
+// TestComputeOnlyHitsTimeLimit: a body that only computes touches no
+// shared state, so coalescing never has to publish its time for an
+// access; the time limit must still fail the run at the charge that
+// crosses it. The ranks compute at different rates, and the failing
+// (process, clock) in the error must be the one an eager run reports on
+// every engine × coalescing combination.
+func TestComputeOnlyHitsTimeLimit(t *testing.T) {
+	var want string
+	for _, c := range []struct {
+		engine     string
+		noCoalesce bool
+	}{{EngineFast, true}, {EngineFast, false}, {EngineRef, false}, {EngineRef, true}} {
+		m := NewMachineConfig(topology.ForProcs(4, 2), Config{
+			TimeLimit: 100_000, Engine: c.engine, NoCoalesce: c.noCoalesce,
+		})
+		err := m.Run(func(p *Proc) {
+			for {
+				p.Compute(100 + 37*int64(p.Rank()))
+			}
+		})
+		name := fmt.Sprintf("engine=%q nocoalesce=%v", c.engine, c.noCoalesce)
+		if !errors.Is(err, sim.ErrTimeLimit) {
+			t.Fatalf("%s: err=%v want ErrTimeLimit", name, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%s: %v, eager run: %s", name, err, want)
+		}
 	}
 }

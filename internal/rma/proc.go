@@ -64,16 +64,20 @@ func (p *Proc) Rand() *rand.Rand {
 	return p.rng
 }
 
-// spend charges d nanoseconds of virtual time with charge coalescing:
-// while the effective clock stays at or below the scheduler's fast-path
-// horizon the charge only accumulates in p.pending — the scheduler would
-// not have rescheduled at the intermediate point anyway, so deferring the
-// publication is invisible to every other process (none of them runs in
-// between, and nobody reads the holder's clock while it holds the token).
-// Once a charge crosses the horizon, the accumulated time flushes through
-// a single Advance, which performs the genuine handoff at exactly the
-// clock an uncoalesced run would have reached. Yield points that publish
-// unconditionally (SpinUntil's block, Barrier, process exit) call flush.
+// spend charges d nanoseconds of virtual time. With coalescing on, the
+// charge only accumulates in p.pending: nothing another process can
+// observe happens until this rank's next shared access, and sync
+// publishes the accumulated time right before it, so the handoffs an
+// eager run would take between two accesses (after a Flush, a Compute,
+// a CAS's own charge) collapse into one. NoCoalesce is the eager
+// reference mode: every charge is its own Advance.
+//
+// A charge that crosses the time limit is published at once, so the
+// limit fails the run at that charge (a compute-only loop touches no
+// shared state and would otherwise never stop). The time before the
+// charge is published first, handing the token on if it crosses the
+// horizon, so the failing charge runs as the (clock, id) minimum — the
+// same process and clock as an eager run reports.
 func (p *Proc) spend(d int64) {
 	if d < 1 {
 		d = 1 // match sim.Advance's minimum step
@@ -83,22 +87,34 @@ func (p *Proc) spend(d int64) {
 		return
 	}
 	p.pending += d
-	if p.h.Clock()+p.pending > p.h.Horizon() {
-		d = p.pending
-		p.pending = 0
-		if p.chargeBuf != nil {
-			p.chargeBuf.Emit(trace.EvFlush, p.h.Clock()+d, d, 0, 0)
-		}
-		p.h.Advance(d)
+	if lim := p.m.limit; lim > 0 && p.Now() > lim {
+		p.pending -= d
+		p.sync()
+		p.pending += d
+		p.flush() // crosses the horizon, which is clamped to the limit: fails the run
 	}
 }
 
-// flush publishes any coalesced-but-unpublished virtual time. At every
-// flush site the invariant "effective clock <= horizon" holds (spend
-// flushes whenever it is violated), so the Advance below never yields the
-// token; it only makes the published clock exact before the process
-// blocks, synchronizes, or exits — the points where other processes (or
-// the scheduler's barrier/wake logic) read it.
+// sync makes the calling rank the (clock, id) minimum at its effective
+// clock before a shared access: when the coalesced time has crossed the
+// scheduler's horizon, it publishes it through one Advance, which hands
+// the token on, and returns once the rank is the minimum again. Every
+// memory effect, busy-horizon update, wake and block therefore happens
+// in the global (effective clock, rank) order of an eager run; only the
+// handoffs in between, which nothing can observe, are skipped. Under
+// the parallel engine the horizon is the time limit, so sync does
+// nothing (its gate orders accesses by their effective clock).
+func (p *Proc) sync() {
+	if p.h.Clock()+p.pending > p.h.Horizon() {
+		p.flush()
+	}
+}
+
+// flush publishes any coalesced-but-unpublished virtual time through one
+// Advance, which hands the token on if the effective clock has crossed
+// the horizon. Right after a sync (as in SpinUntil) it never yields; at
+// Barrier and at process exit it may, and the rank then arrives or exits
+// once it is the minimum again, as it would in an eager run.
 func (p *Proc) flush() {
 	if p.pending != 0 {
 		d := p.pending
@@ -169,6 +185,9 @@ func (p *Proc) TraceAcquireTimeout(id int, write bool) {
 // fatal protocol conditions a rank detects mid-run, e.g. exhausted
 // bounded-acquire retries under a fault profile configured to abort.
 func (p *Proc) Abort(err error) {
+	// The abort is observable: order it like a shared access, and
+	// publish all pending time so the error reports the effective clock.
+	p.flush()
 	p.h.Abort(err)
 	panic("rma: scheduler Abort returned") // unreachable: Abort unwinds
 }
@@ -200,6 +219,7 @@ func (p *Proc) endAccess(target int, dur int64) {
 
 // Put atomically places src in target's window at offset.
 func (p *Proc) Put(src int64, target, offset int) {
+	p.sync()
 	i := p.m.index(target, offset)
 	p.beginAccess(target, false, true)
 	p.m.mem[i] = src
@@ -215,6 +235,7 @@ func (p *Proc) Put(src int64, target, offset int) {
 // Per the paper, the value is only guaranteed after a subsequent Flush; in
 // this simulation it is already the linearized value at issue time.
 func (p *Proc) Get(target, offset int) int64 {
+	p.sync()
 	p.beginAccess(target, false, false)
 	v := p.m.mem[p.m.index(target, offset)]
 	p.st.count(opGet, p.m.topo.Distance(p.rank, target))
@@ -228,6 +249,7 @@ func (p *Proc) Get(target, offset int) int64 {
 // Accumulate atomically applies op with operand oprd to the word at
 // target's window offset.
 func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
+	p.sync()
 	i := p.m.index(target, offset)
 	p.beginAccess(target, true, true)
 	var nv int64
@@ -251,6 +273,7 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 // FAO atomically applies op with operand oprd to the word at target's
 // window offset and returns the word's previous value.
 func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
+	p.sync()
 	i := p.m.index(target, offset)
 	p.beginAccess(target, true, true)
 	prev := p.m.mem[i]
@@ -276,6 +299,7 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 // CAS atomically compares the word at target's window offset with cmp and,
 // if equal, replaces it with src; it returns the word's previous value.
 func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
+	p.sync()
 	i := p.m.index(target, offset)
 	p.beginAccess(target, true, true)
 	prev := p.m.mem[i]
@@ -297,6 +321,7 @@ func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
 // Flush completes all pending RMA calls targeted at target. Operations in
 // this simulation complete synchronously, so Flush only charges a small
 // bookkeeping cost; it is kept so protocols read exactly like the paper.
+// It touches no shared state, so it never hands the token on.
 func (p *Proc) Flush(target int) {
 	p.st.count(opFlush, 0)
 	p.traceOp(trace.OpFlush, target, 0)
@@ -322,6 +347,7 @@ const flushCost = 10
 // read latency. Use it for grant flags and status words; keep genuine
 // contention loops (e.g., spinlock CAS retries) as explicit loops.
 func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
+	p.sync()
 	if p.gate != nil {
 		return p.spinUntilGated(target, offset, cond)
 	}
@@ -337,9 +363,11 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 	}
 	// Publish coalesced time before blocking: while we are blocked, the
 	// granting write computes our wake-up clock against the published
-	// clock. flush never yields (see its comment), so the register/block
-	// pair below still happens in the same scheduler slice as the check
-	// above — no granting write can slip in between (no lost wake-up).
+	// clock. The sync above left the effective clock at or below the
+	// horizon and the unsatisfied probe charged nothing, so this flush
+	// never yields: the register/block pair below still happens in the
+	// same scheduler slice as the check above — no granting write can
+	// slip in between (no lost wake-up).
 	p.flush()
 	for {
 		p.m.addWatcher(target, offset, watcher{p: p, cond: cond})
@@ -387,7 +415,8 @@ func (p *Proc) spinUntilGated(target, offset int, cond func(int64) bool) int64 {
 }
 
 // Compute charges d nanoseconds of local computation (e.g., critical
-// section work) to the process's virtual clock.
+// section work) to the process's virtual clock. Like Flush it is purely
+// local: the time is published at the next shared access.
 func (p *Proc) Compute(d int64) {
 	p.spend(d)
 }
@@ -395,6 +424,6 @@ func (p *Proc) Compute(d int64) {
 // Barrier synchronizes all processes of the machine: everyone blocks until
 // the last arrives, then all clocks jump to the maximum plus a fixed cost.
 func (p *Proc) Barrier() {
-	p.flush() // arrival clocks must be exact before synchronizing
+	p.flush() // arrival clocks must be exact; may hand the token on first
 	p.h.Barrier()
 }

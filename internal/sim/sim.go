@@ -129,9 +129,12 @@ func (h *Handle) Clock() int64 { return h.hs.clock }
 // Horizon returns the largest virtual clock the calling process can
 // advance to while provably keeping the execution token: any Advance that
 // leaves the clock at or below Horizon() is guaranteed not to reschedule.
-// Callers (package rma) use it to coalesce consecutive charges into one
-// Advance without changing the interleaving. Valid only while the calling
-// process holds the token; a Wake may shrink it.
+// It is clamped to the time limit, so an Advance past the limit always
+// takes the slow path and fails the run. Package rma accumulates charges
+// unpublished and, before each shared access, publishes them through one
+// Advance only if they crossed the horizon — the access then runs at the
+// same point of the (clock, id) order as in an eager run. Valid only
+// while the calling process holds the token; a Wake may shrink it.
 func (h *Handle) Horizon() int64 { return h.hs.horizon }
 
 // Scheduler coordinates the virtual clocks of a fixed set of processes.

@@ -21,12 +21,16 @@
 // Events carry the emitting rank's virtual clock; the canonical merged
 // order is (Clock, Rank, Seq). Because the simulation itself is a
 // deterministic function of the seed, so is the merged stream: two runs
-// of the same spec produce byte-identical traces, and the differential
+// of the same spec produce byte-identical traces. The differential
 // suite requires the semantic classes (ClassSched | ClassOp | ClassLock)
-// to be byte-identical across scheduler engines and charge-coalescing
-// modes. The ClassCharge diagnostic class intentionally differs between
-// those combinations — it records exactly where virtual time was
-// published, which is the thing coalescing changes.
+// to be byte-identical across the sequential scheduler engines, and,
+// with EvDispatch left out, across charge-coalescing modes and the
+// parallel engine too: coalescing skips handoffs that nothing can
+// observe, so token handoffs are engine-invariant but not
+// coalescing-invariant (and psim has no token). The ClassCharge
+// diagnostic class intentionally differs between all combinations — it
+// records exactly where virtual time was published, which is the thing
+// coalescing changes.
 //
 // # Overhead guard
 //
@@ -131,9 +135,11 @@ const (
 	ClassCharge
 )
 
-// ClassSemantic is the engine- and coalescing-independent event set: the
-// differential suite requires it byte-identical across all engine ×
-// coalescing combinations.
+// ClassSemantic is the engine-independent event set: the differential
+// suite requires it byte-identical across the sequential engines within
+// one coalescing mode, and across every engine × coalescing combination
+// once EvDispatch is left out — dispatches record token handoffs, which
+// coalescing skips where nothing can observe them.
 const ClassSemantic = ClassSched | ClassOp | ClassLock
 
 // ClassAll enables every class including the ClassCharge diagnostics.

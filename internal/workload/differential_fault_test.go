@@ -122,13 +122,14 @@ func TestDifferentialFaultTimeoutPath(t *testing.T) {
 	}
 }
 
-// TestDifferentialFaultTraceStreams extends the semantic trace-stream
-// gate to faulted runs: under stalls, jitter and acquire timeouts, the
-// merged semantic event stream must stay byte-identical across the
-// matrix (raw CSV between the sequential engines, dispatch-free
-// rendering for psim), and every stream must replay cleanly through
-// trace.Validate's degradation invariants — mutual exclusion under
-// stalls, no lost wakeups, every timed-out acquire cleanly resolved.
+// TestDifferentialFaultTraceStreams extends the trace-stream gate to
+// faulted runs: under stalls, jitter and acquire timeouts, the merged
+// event stream must stay byte-identical across the matrix (dispatch-free
+// rendering everywhere, raw CSV between the sequential engines of one
+// coalescing mode, see traceStreams), and every stream must replay
+// cleanly through trace.Validate's degradation invariants — mutual
+// exclusion under stalls, no lost wakeups, every timed-out acquire
+// cleanly resolved.
 func TestDifferentialFaultTraceStreams(t *testing.T) {
 	cases := []struct {
 		scheme string
@@ -141,59 +142,20 @@ func TestDifferentialFaultTraceStreams(t *testing.T) {
 		tc := tc
 		t.Run(tc.scheme, func(t *testing.T) {
 			t.Parallel()
-			var baseCSV, baseSem string
+			var ts traceStreams
 			sawTimeout := false
-			for i, ec := range engineCases {
+			for _, ec := range engineCases {
 				sink := trace.New(trace.ClassSemantic)
-				_, err := workload.Run(workload.Spec{
-					Scheme: tc.scheme,
-					P:      16, ProcsPerNode: 4,
-					Seed:     13,
-					Iters:    10,
-					Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
-					Workload: &workload.SharedOp{},
-					Faults:   tc.prof(t),
-					Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
-					Trace:    sink,
-				})
-				if err != nil {
+				spec := traceSpec(tc.scheme, ec, sink)
+				spec.Faults = tc.prof(t)
+				if _, err := workload.Run(spec); err != nil {
 					t.Fatalf("%s: %v", ec.name, err)
 				}
 				events := sink.Events()
-				if err := trace.Validate(events); err != nil {
-					t.Fatalf("%s: replay validation: %v", ec.name, err)
-				}
+				ts.check(t, ec, events)
 				for _, e := range events {
 					if e.Kind == trace.EvAcqTimeout {
 						sawTimeout = true
-					}
-				}
-				var b strings.Builder
-				if err := trace.WriteCSV(&b, events); err != nil {
-					t.Fatal(err)
-				}
-				sem := semanticLines(events)
-				if i == 0 {
-					baseCSV, baseSem = b.String(), sem
-					if len(events) == 0 {
-						t.Fatal("empty event stream")
-					}
-					continue
-				}
-				got, want := b.String(), baseCSV
-				if ec.engine == rma.EnginePSim {
-					got, want = sem, baseSem
-				}
-				if got != want {
-					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",
-						ec.name, engineCases[0].name,
-						strings.Count(got, "\n"), strings.Count(want, "\n"))
-					a, bb := strings.Split(want, "\n"), strings.Split(got, "\n")
-					for j := 0; j < len(a) && j < len(bb); j++ {
-						if a[j] != bb[j] {
-							t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, a[j], bb[j])
-							break
-						}
 					}
 				}
 			}
@@ -254,21 +216,37 @@ func TestFaultConformanceCapabilityRejection(t *testing.T) {
 // TestAbortConformanceAcrossEngines is the unified teardown gate: the
 // two typed abort conditions — sim.ErrTimeLimit and the bounded-acquire
 // ErrRetriesExhausted — must round-trip through errors.Is identically
-// on all three engines.
+// on all three engines, with and without charge coalescing. On the
+// sequential engines the error text, which names the failing process
+// and its clock, must also be identical: coalescing publishes a rank's
+// time before it aborts or crosses the limit, so both happen at the
+// same point of the (clock, rank) order as in an eager run. (Under psim
+// which rank crosses first is not part of the contract.)
 func TestAbortConformanceAcrossEngines(t *testing.T) {
-	engines := []string{rma.EngineFast, rma.EngineRef, rma.EnginePSim}
-	t.Run("time-limit", func(t *testing.T) {
-		for _, eng := range engines {
-			_, err := workload.Run(workload.Spec{
-				Scheme: workload.SchemeFoMPISpin,
-				P:      8, ProcsPerNode: 4,
-				Iters: 50, TimeLimit: 50_000,
-				Engine: eng,
-			})
-			if !errors.Is(err, sim.ErrTimeLimit) {
-				t.Errorf("%s: got %v, want errors.Is(_, sim.ErrTimeLimit)", eng, err)
+	run := func(t *testing.T, spec workload.Spec, want error) {
+		var text string
+		for _, ec := range engineCases {
+			spec.Engine, spec.NoCoalesce = ec.engine, ec.noCoalesce
+			_, err := workload.Run(spec)
+			if !errors.Is(err, want) {
+				t.Errorf("%s: got %v, want errors.Is(_, %v)", ec.name, err, want)
+				continue
+			}
+			switch {
+			case ec.engine == rma.EnginePSim:
+			case text == "":
+				text = err.Error()
+			case err.Error() != text:
+				t.Errorf("%s: %v\n%s: %s", ec.name, err, engineCases[0].name, text)
 			}
 		}
+	}
+	t.Run("time-limit", func(t *testing.T) {
+		run(t, workload.Spec{
+			Scheme: workload.SchemeFoMPISpin,
+			P:      8, ProcsPerNode: 4,
+			Iters: 50, TimeLimit: 50_000,
+		}, sim.ErrTimeLimit)
 	})
 	t.Run("retries-exhausted", func(t *testing.T) {
 		// A 1ns timeout with zero retries cannot succeed under write
@@ -277,19 +255,13 @@ func TestAbortConformanceAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range engines {
-			_, err := workload.Run(workload.Spec{
-				Scheme: workload.SchemeFoMPISpin,
-				P:      8, ProcsPerNode: 4,
-				Iters:   10,
-				Profile: workload.Uniform{FW: 1},
-				Faults:  prof,
-				Engine:  eng,
-			})
-			if !errors.Is(err, workload.ErrRetriesExhausted) {
-				t.Errorf("%s: got %v, want errors.Is(_, workload.ErrRetriesExhausted)", eng, err)
-			}
-		}
+		run(t, workload.Spec{
+			Scheme: workload.SchemeFoMPISpin,
+			P:      8, ProcsPerNode: 4,
+			Iters:   10,
+			Profile: workload.Uniform{FW: 1},
+			Faults:  prof,
+		}, workload.ErrRetriesExhausted)
 	})
 }
 

@@ -89,9 +89,9 @@ func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
 
 // semanticLines renders the merged event stream one event per line with
 // every semantically meaningful field: clock, rank, kind, args. Two
-// normalizations against raw WriteCSV output: EvDispatch is dropped (the
-// parallel engine has no execution token, so token-handoff events exist
-// only on the sequential engines) and Seq is omitted (dispatch events
+// normalizations against raw WriteCSV output: EvDispatch is dropped
+// (token handoffs depend on the coalescing mode, and the parallel engine
+// has no execution token at all) and Seq is omitted (dispatch events
 // consume per-rank sequence numbers, shifting them; the canonical merge
 // order already encodes what Seq pins — per-rank program order).
 func semanticLines(events []trace.Event) string {
@@ -105,17 +105,87 @@ func semanticLines(events []trace.Event) string {
 	return b.String()
 }
 
+// traceStreams compares one engine case's merged event stream against
+// the earlier cases of the matrix: the dispatch-free semantic rendering
+// against the first case, and the raw CSV (EvDispatch handoffs and Seq
+// numbers included) against the first sequential case of the same
+// coalescing mode — handoffs are engine-invariant but not
+// coalescing-invariant, and psim has none. It also replays the stream
+// through trace.Validate.
+type traceStreams struct {
+	sem string
+	csv map[bool]string // per NoCoalesce mode
+}
+
+func (ts *traceStreams) check(t *testing.T, ec engineCase, events []trace.Event) {
+	t.Helper()
+	if err := trace.Validate(events); err != nil {
+		t.Fatalf("%s: replay validation: %v", ec.name, err)
+	}
+	if len(events) == 0 {
+		t.Fatalf("%s: empty event stream", ec.name)
+	}
+	sem := semanticLines(events)
+	if ts.csv == nil {
+		ts.sem, ts.csv = sem, map[bool]string{}
+	} else {
+		diffStreams(t, ec.name+" semantic", ts.sem, sem)
+	}
+	if ec.engine == rma.EnginePSim {
+		return
+	}
+	var b strings.Builder
+	if err := trace.WriteCSV(&b, events); err != nil {
+		t.Fatal(err)
+	}
+	if want, ok := ts.csv[ec.noCoalesce]; ok {
+		diffStreams(t, ec.name+" raw CSV", want, b.String())
+	} else {
+		ts.csv[ec.noCoalesce] = b.String()
+	}
+}
+
+// diffStreams reports a diverging event stream with its first differing line.
+func diffStreams(t *testing.T, what, want, got string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	t.Errorf("%s event stream diverged (%d vs %d lines)",
+		what, strings.Count(want, "\n"), strings.Count(got, "\n"))
+	a, b := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for j := 0; j < len(a) && j < len(b); j++ {
+		if a[j] != b[j] {
+			t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, a[j], b[j])
+			break
+		}
+	}
+}
+
+// traceSpec is the contended P=16 cell the trace-stream gates run.
+func traceSpec(scheme string, ec engineCase, sink *trace.Sink) workload.Spec {
+	return workload.Spec{
+		Scheme: scheme,
+		P:      16, ProcsPerNode: 4,
+		Seed:     13,
+		Iters:    10,
+		Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
+		Workload: &workload.SharedOp{},
+		Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
+		Trace: sink,
+	}
+}
+
 // TestDifferentialTraceStreams is the trace ↔ coalescing interplay
 // gate: for every engine × coalescing combination, the merged semantic
-// event stream (scheduler handoffs, RMA ops, lock protocol — everything
-// except the ClassCharge publication diagnostics) must be byte-identical,
-// and must replay cleanly through trace.Validate. Charge coalescing may
-// move *when* virtual time is published, but never when anything
+// event stream (RMA ops, lock protocol, blocks, wakes, barriers —
+// everything except token handoffs and the ClassCharge publication
+// diagnostics) must be byte-identical, and must replay cleanly through
+// trace.Validate. Charge coalescing moves *when* virtual time is
+// published and which handoffs happen, but never when anything
 // observable happens; this test pins that at per-event granularity.
-// The sequential engines must match on the raw CSV (including EvDispatch
-// handoffs and Seq numbers); psim must match them on the dispatch-free
-// semantic rendering (see semanticLines) — every block, wake, barrier,
-// op and lock event at the same clock with the same arguments.
+// Within one coalescing mode the sequential engines must also match on
+// the raw CSV, handoffs and Seq numbers included (see traceStreams).
 // Runs under -race in CI (the race job's Differential pattern), which
 // also exercises the lock-free emission path of the fast engine and the
 // parallel engine's gate.
@@ -124,61 +194,59 @@ func TestDifferentialTraceStreams(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
-			var baseCSV, baseSem string
-			for i, ec := range engineCases {
+			var ts traceStreams
+			for _, ec := range engineCases {
 				sink := trace.New(trace.ClassSemantic)
-				spec := workload.Spec{
-					Scheme: scheme,
-					P:      16, ProcsPerNode: 4,
-					Seed:     13,
-					Iters:    10,
-					Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
-					Workload: &workload.SharedOp{},
-					Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
-					Trace: sink,
-				}
-				if _, err := workload.Run(spec); err != nil {
+				if _, err := workload.Run(traceSpec(scheme, ec, sink)); err != nil {
 					t.Fatalf("%s: %v", ec.name, err)
 				}
-				events := sink.Events()
-				if err := trace.Validate(events); err != nil {
-					t.Fatalf("%s: replay validation: %v", ec.name, err)
-				}
-				var b strings.Builder
-				if err := trace.WriteCSV(&b, events); err != nil {
-					t.Fatal(err)
-				}
-				sem := semanticLines(events)
-				if i == 0 {
-					baseCSV, baseSem = b.String(), sem
-					if len(events) == 0 {
-						t.Fatal("empty event stream")
-					}
-					continue
-				}
-				got := b.String()
-				if ec.engine == rma.EnginePSim {
-					got = sem // no dispatch events: compare the semantic rendering
-				}
-				want := baseCSV
-				if ec.engine == rma.EnginePSim {
-					want = baseSem
-				}
-				if got != want {
-					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",
-						ec.name, engineCases[0].name,
-						strings.Count(got, "\n"), strings.Count(want, "\n"))
-					// Show the first diverging line for debugging.
-					a, bb := strings.Split(want, "\n"), strings.Split(got, "\n")
-					for j := 0; j < len(a) && j < len(bb); j++ {
-						if a[j] != bb[j] {
-							t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, a[j], bb[j])
-							break
-						}
-					}
-				}
+				ts.check(t, ec, sink.Events())
 			}
 		})
+	}
+}
+
+// TestCoalescingHandoffBound pins what charge coalescing buys: a rank
+// hands the token on only right before a shared access, a block, a
+// barrier or its exit, never after a Flush or a Compute. So with
+// coalescing on, the handoff (EvDispatch) count is bounded by the
+// non-flush ops plus blocks plus two per barrier arrival and two per
+// rank (a flush-and-arrive pair, a flush-and-exit pair), and it is
+// strictly below the eager NoCoalesce count, which may hand off after
+// every charge.
+func TestCoalescingHandoffBound(t *testing.T) {
+	count := func(scheme string, ec engineCase) (dispatches, bound int) {
+		sink := trace.New(trace.ClassSemantic)
+		if _, err := workload.Run(traceSpec(scheme, ec, sink)); err != nil {
+			t.Fatalf("%s %s: %v", scheme, ec.name, err)
+		}
+		ops, blocks, barriers := 0, 0, 0
+		for _, e := range sink.Events() {
+			switch e.Kind {
+			case trace.EvDispatch:
+				dispatches++
+			case trace.EvOp:
+				if e.Arg0 != trace.OpFlush {
+					ops++
+				}
+			case trace.EvBlock:
+				blocks++
+			case trace.EvBarrier:
+				barriers++
+			}
+		}
+		return dispatches, ops + blocks + 2*(barriers+16)
+	}
+	for _, scheme := range workload.Schemes {
+		on, bound := count(scheme, engineCases[0])
+		off, _ := count(scheme, engineCases[1])
+		if on > bound {
+			t.Errorf("%s: %d handoffs with coalescing, above the bound %d", scheme, on, bound)
+		}
+		if on >= off {
+			t.Errorf("%s: %d handoffs with coalescing, not below NoCoalesce's %d", scheme, on, off)
+		}
+		t.Logf("%s: handoffs %d coalesced (bound %d), %d eager", scheme, on, bound, off)
 	}
 }
 
