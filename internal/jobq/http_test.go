@@ -236,6 +236,37 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPUnknownEngine: a grid naming no scheduler engine is refused
+// at submission with 400 and an error body naming the engine, and no
+// job is admitted, so no sweep worker ever builds a machine for it.
+// The daemon keeps serving: a valid grid submitted afterwards runs to
+// completion.
+func TestHTTPUnknownEngine(t *testing.T) {
+	ts, mgr, _ := newTestServer(t)
+	for _, engine := range []string{"psim", "des"} {
+		g := testGrid()
+		g.Engine = engine
+		body, err := sweep.EncodeGrid(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), engine) {
+			t.Errorf("engine %q: %d %s, want 400 + error naming the engine", engine, resp.StatusCode, raw)
+		}
+	}
+	if n := len(mgr.Statuses()); n != 0 {
+		t.Fatalf("%d jobs admitted, want none", n)
+	}
+	st := submitGrid(t, ts, "after-bad-engine")
+	awaitState(t, ts, st.ID, jobq.StateDone)
+}
+
 func TestHTTPProgressFanIn(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	st1 := submitGrid(t, ts, "a")

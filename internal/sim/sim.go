@@ -68,7 +68,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"rmalocks/internal/obs"
 	"rmalocks/internal/trace"
 )
 
@@ -208,12 +207,6 @@ type Config struct {
 	// Advance fast path is byte-for-byte identical traced or not
 	// (BenchmarkAdvanceUncontended vs BenchmarkAdvanceTraced pin it).
 	Trace *trace.Sink
-	// Gate, when non-nil, receives the parallel engine's conservative-gate
-	// instrumentation (mutex hold time, grant-queue depth, lookahead
-	// slack; see obs.GateMetrics). Only psim reads it — the sequential
-	// engines have no gate, and the token-owned fast path is never
-	// instrumented (its Advance stays byte-identical with obs on or off).
-	Gate *obs.GateMetrics
 }
 
 // corePool recycles scheduler cores — the SoA state slices, handles and
@@ -567,8 +560,8 @@ func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
 // failure wins, wrapped with the aborting process and its virtual time,
 // errors.Is-visible), every parked process is unwound, and the calling
 // process unwinds immediately — Abort never returns. Must be called by
-// the running process itself. All three engines surface aborts
-// identically (conformance-tested).
+// the running process itself. Both engines surface aborts identically
+// (conformance-tested).
 func (h *Handle) Abort(err error) {
 	h.s.fail(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
 	panic(abortSignal{})

@@ -6,6 +6,7 @@ import (
 
 	"rmalocks/internal/fault"
 	"rmalocks/internal/obs"
+	"rmalocks/internal/rma"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
@@ -34,7 +35,7 @@ func wireGrid(t *testing.T) sweep.Grid {
 		ThinkJitterNs: 200,
 		Tunables:      []sweep.TunableAxis{{Key: "TR", Values: []int64{500, 1000}}},
 		Faults:        []*fault.Profile{nil, fp},
-		Engine:        "des",
+		Engine:        rma.EngineRef,
 	}
 	g.Params.TL = []int64{100, 200}
 	g.Params.TDC = 3
@@ -77,6 +78,19 @@ func TestGridCodecRoundTrip(t *testing.T) {
 		if cells[i].Input == "" {
 			t.Errorf("cell %d of a wire grid is uncacheable", i)
 		}
+	}
+}
+
+// TestCellsRejectsUnknownEngine: the codec carries any engine string,
+// so Cells is where a name that selects no scheduler is refused, with a
+// typed rma.UnknownEngineError and before any cell exists.
+func TestCellsRejectsUnknownEngine(t *testing.T) {
+	g := wireGrid(t)
+	g.Engine = "bogus"
+	cells, err := g.Cells()
+	var ue rma.UnknownEngineError
+	if !errors.As(err, &ue) || ue.Name != "bogus" || cells != nil {
+		t.Fatalf("Cells() = %d cells, %v; want an UnknownEngineError for %q", len(cells), err, "bogus")
 	}
 }
 

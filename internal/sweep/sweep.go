@@ -25,6 +25,7 @@ import (
 
 	"rmalocks/internal/fault"
 	"rmalocks/internal/obs"
+	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/stats"
 	"rmalocks/internal/trace"
@@ -371,6 +372,7 @@ type Grid struct {
 	// Engine selects the scheduler implementation for every cell ("" or
 	// "fast" = token-owned fast path, "ref" = reference engine); the
 	// workbench -engine flag exposes it for ad-hoc differential sweeps.
+	// Cells rejects any other name with an rma.UnknownEngineError.
 	Engine string
 	// MemStats enables host memory reporting per cell (see
 	// workload.Spec.MemStats): heap/sys bytes per rank land in
@@ -382,9 +384,8 @@ type Grid struct {
 	// metrics and returning the raw sinks via CellResult.Trace.
 	Trace trace.Class
 	// Obs, when non-nil, attaches the live observability instruments to
-	// every cell (see workload.Spec.Obs): phase spans, per-rank iteration
-	// counters and — on psim cells — the conservative-gate metrics. One
-	// Metrics is shared across all cells (every instrument is
+	// every cell (see workload.Spec.Obs): phase spans and per-rank
+	// iteration counters. One Metrics is shared across all cells (every instrument is
 	// concurrency-safe and merge-by-sum), so /metrics shows sweep-wide
 	// totals mid-run. Observation only: with Obs on or off every report
 	// and fingerprint is byte-identical (test-enforced).
@@ -521,6 +522,9 @@ func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
 // fails the same way regardless of which schemes it names.
 func (g Grid) Cells() ([]Cell, error) {
 	g = g.fill()
+	if err := rma.CheckEngine(g.Engine); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
 	if _, err := combos(g.Tunables); err != nil {
 		return nil, err
 	}

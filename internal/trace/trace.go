@@ -14,7 +14,7 @@
 // the token handoff that resumes it, so capture needs no locks and no
 // atomics: an emission is a slice append plus a sequence increment. The
 // happens-before edges of the engines' handoffs (coroutine switches in
-// internal/sim, a mutex and channels in refsim and psim) make the whole
+// internal/sim, a mutex and channels in refsim) make the whole
 // capture race-clean (the differential suite runs traced cells under
 // -race).
 //
@@ -23,11 +23,10 @@
 // deterministic function of the seed, so is the merged stream: two runs
 // of the same spec produce byte-identical traces. The differential
 // suite requires the semantic classes (ClassSched | ClassOp | ClassLock)
-// to be byte-identical across the sequential scheduler engines, and,
-// with EvDispatch left out, across charge-coalescing modes and the
-// parallel engine too: coalescing skips handoffs that nothing can
-// observe, so token handoffs are engine-invariant but not
-// coalescing-invariant (and psim has no token). The ClassCharge
+// to be byte-identical across the scheduler engines, and, with
+// EvDispatch left out, across charge-coalescing modes too: coalescing
+// skips handoffs that nothing can observe, so token handoffs are
+// engine-invariant but not coalescing-invariant. The ClassCharge
 // diagnostic class intentionally differs between all combinations — it
 // records exactly where virtual time was published, which is the thing
 // coalescing changes.
@@ -136,8 +135,8 @@ const (
 )
 
 // ClassSemantic is the engine-independent event set: the differential
-// suite requires it byte-identical across the sequential engines within
-// one coalescing mode, and across every engine × coalescing combination
+// suite requires it byte-identical across the engines within one
+// coalescing mode, and across every engine × coalescing combination
 // once EvDispatch is left out — dispatches record token handoffs, which
 // coalescing skips where nothing can observe them.
 const ClassSemantic = ClassSched | ClassOp | ClassLock

@@ -2,7 +2,7 @@ package workload_test
 
 // Fault-enabled differential suite: the deterministic perturbation
 // layer (internal/fault) must preserve the core guarantee — identical
-// configs produce byte-identical runs across all six engine ×
+// configs produce byte-identical runs across all four engine ×
 // coalescing combinations — under jitter, congestion windows,
 // stragglers, stalls, and the bounded-acquire timeout path. Runs under
 // -race in CI (the race and chaos-smoke jobs' Differential pattern).
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"rmalocks/internal/fault"
-	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/sim"
 	"rmalocks/internal/trace"
@@ -125,8 +124,8 @@ func TestDifferentialFaultTimeoutPath(t *testing.T) {
 // TestDifferentialFaultTraceStreams extends the trace-stream gate to
 // faulted runs: under stalls, jitter and acquire timeouts, the merged
 // event stream must stay byte-identical across the matrix (dispatch-free
-// rendering everywhere, raw CSV between the sequential engines of one
-// coalescing mode, see traceStreams), and every stream must replay
+// rendering everywhere, raw CSV between the engines of one coalescing
+// mode, see traceStreams), and every stream must replay
 // cleanly through trace.Validate's degradation invariants — mutual
 // exclusion under stalls, no lost wakeups, every timed-out acquire
 // cleanly resolved.
@@ -216,12 +215,11 @@ func TestFaultConformanceCapabilityRejection(t *testing.T) {
 // TestAbortConformanceAcrossEngines is the unified teardown gate: the
 // two typed abort conditions — sim.ErrTimeLimit and the bounded-acquire
 // ErrRetriesExhausted — must round-trip through errors.Is identically
-// on all three engines, with and without charge coalescing. On the
-// sequential engines the error text, which names the failing process
-// and its clock, must also be identical: coalescing publishes a rank's
-// time before it aborts or crosses the limit, so both happen at the
-// same point of the (clock, rank) order as in an eager run. (Under psim
-// which rank crosses first is not part of the contract.)
+// on both engines, with and without charge coalescing. The error text,
+// which names the failing process and its clock, must also be
+// identical: coalescing publishes a rank's time before it aborts or
+// crosses the limit, so both happen at the same point of the (clock,
+// rank) order as in an eager run.
 func TestAbortConformanceAcrossEngines(t *testing.T) {
 	run := func(t *testing.T, spec workload.Spec, want error) {
 		var text string
@@ -233,7 +231,6 @@ func TestAbortConformanceAcrossEngines(t *testing.T) {
 				continue
 			}
 			switch {
-			case ec.engine == rma.EnginePSim:
 			case text == "":
 				text = err.Error()
 			case err.Error() != text:

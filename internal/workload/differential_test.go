@@ -1,15 +1,13 @@
 package workload_test
 
 // Differential determinism suite: the token-owned fast-path scheduler
-// (internal/sim) against the reference engine (internal/sim/refsim) and
-// the conservative parallel engine (internal/sim/psim), and charge
-// coalescing (internal/rma) against uncoalesced charging. For every lock
-// scheme × contention profile cell, all six engine/coalesce combinations
-// must produce byte-identical reports and equal MaxClock — the fast
-// path, the coalescer and the parallel gate are pure optimisations,
-// never allowed to change a single virtual-time decision. Run under
-// -race in CI to also exercise the fast path's lock-free clock
-// increments and the parallel engine's cross-goroutine effects.
+// (internal/sim) against the reference engine (internal/sim/refsim), and
+// charge coalescing (internal/rma) against uncoalesced charging. For
+// every lock scheme × contention profile cell, all four engine/coalesce
+// combinations must produce byte-identical reports and equal MaxClock —
+// the fast path and the coalescer are pure optimisations, never allowed
+// to change a single virtual-time decision. Run under -race in CI to
+// also exercise the fast path's lock-free clock increments.
 
 import (
 	"fmt"
@@ -43,8 +41,6 @@ var engineCases = []engineCase{
 	{"fast-nocoalesce", rma.EngineFast, true},
 	{"ref", rma.EngineRef, false},
 	{"ref-nocoalesce", rma.EngineRef, true},
-	{"psim", rma.EnginePSim, false},
-	{"psim-nocoalesce", rma.EnginePSim, true},
 }
 
 func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
@@ -90,8 +86,7 @@ func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
 // semanticLines renders the merged event stream one event per line with
 // every semantically meaningful field: clock, rank, kind, args. Two
 // normalizations against raw WriteCSV output: EvDispatch is dropped
-// (token handoffs depend on the coalescing mode, and the parallel engine
-// has no execution token at all) and Seq is omitted (dispatch events
+// (token handoffs depend on the coalescing mode) and Seq is omitted (dispatch events
 // consume per-rank sequence numbers, shifting them; the canonical merge
 // order already encodes what Seq pins — per-rank program order).
 func semanticLines(events []trace.Event) string {
@@ -108,10 +103,9 @@ func semanticLines(events []trace.Event) string {
 // traceStreams compares one engine case's merged event stream against
 // the earlier cases of the matrix: the dispatch-free semantic rendering
 // against the first case, and the raw CSV (EvDispatch handoffs and Seq
-// numbers included) against the first sequential case of the same
-// coalescing mode — handoffs are engine-invariant but not
-// coalescing-invariant, and psim has none. It also replays the stream
-// through trace.Validate.
+// numbers included) against the first case of the same coalescing mode
+// — handoffs are engine-invariant but not coalescing-invariant. It also
+// replays the stream through trace.Validate.
 type traceStreams struct {
 	sem string
 	csv map[bool]string // per NoCoalesce mode
@@ -130,9 +124,6 @@ func (ts *traceStreams) check(t *testing.T, ec engineCase, events []trace.Event)
 		ts.sem, ts.csv = sem, map[bool]string{}
 	} else {
 		diffStreams(t, ec.name+" semantic", ts.sem, sem)
-	}
-	if ec.engine == rma.EnginePSim {
-		return
 	}
 	var b strings.Builder
 	if err := trace.WriteCSV(&b, events); err != nil {
@@ -184,11 +175,10 @@ func traceSpec(scheme string, ec engineCase, sink *trace.Sink) workload.Spec {
 // trace.Validate. Charge coalescing moves *when* virtual time is
 // published and which handoffs happen, but never when anything
 // observable happens; this test pins that at per-event granularity.
-// Within one coalescing mode the sequential engines must also match on
-// the raw CSV, handoffs and Seq numbers included (see traceStreams).
-// Runs under -race in CI (the race job's Differential pattern), which
-// also exercises the lock-free emission path of the fast engine and the
-// parallel engine's gate.
+// Within one coalescing mode the engines must also match on the raw
+// CSV, handoffs and Seq numbers included (see traceStreams). Runs under
+// -race in CI (the race job's Differential pattern), which also
+// exercises the lock-free emission path of the fast engine.
 func TestDifferentialTraceStreams(t *testing.T) {
 	for _, scheme := range workload.Schemes {
 		scheme := scheme

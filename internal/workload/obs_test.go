@@ -9,8 +9,7 @@ import (
 )
 
 // obsSpec is the shared cell of the observe-never-perturb tests:
-// contended enough that psim exercises blocking, waking and the full
-// gate protocol.
+// contended enough that ranks block, wake and hand the token on.
 func obsSpec(engine string, m *obs.Metrics) Spec {
 	return Spec{
 		Scheme:  SchemeRMAMCS,
@@ -27,7 +26,7 @@ func obsSpec(engine string, m *obs.Metrics) Spec {
 // fingerprint) to its unobserved run, and no metric key leaks into
 // Report.Extra.
 func TestObsNeverPerturbs(t *testing.T) {
-	for _, engine := range []string{"", rma.EngineRef, rma.EnginePSim} {
+	for _, engine := range []string{"", rma.EngineRef} {
 		name := engine
 		if name == "" {
 			name = "fast"
@@ -54,50 +53,26 @@ func TestObsNeverPerturbs(t *testing.T) {
 	}
 }
 
-// TestObsGateMetricsOnPSim checks a psim run actually feeds the gate
-// instruments — hold time, wall time, lockings, grants, depth samples —
-// and that the serial fraction lands in (0, 1]; on the sequential
-// engines the same instruments stay untouched (they have no gate).
-func TestObsGateMetricsOnPSim(t *testing.T) {
-	m := obs.NewMetrics()
-	if _, err := Run(obsSpec(rma.EnginePSim, m)); err != nil {
-		t.Fatal(err)
-	}
-	g := m.Gate
-	if g.Hold.Value() <= 0 || g.Wall.Value() <= 0 {
-		t.Fatalf("gate hold=%d wall=%d, want both > 0", g.Hold.Value(), g.Wall.Value())
-	}
-	if g.Lockings.Value() <= 0 || g.Grants.Value() <= 0 {
-		t.Fatalf("gate lockings=%d grants=%d, want both > 0", g.Lockings.Value(), g.Grants.Value())
-	}
-	if g.ReqDepth.Count() <= 0 || g.ConsDepth.Count() <= 0 {
-		t.Fatalf("gate depth samples req=%d cons=%d, want both > 0", g.ReqDepth.Count(), g.ConsDepth.Count())
-	}
-	f := g.SerialFraction()
-	if f <= 0 || f > 1 {
-		t.Fatalf("serial fraction = %v, want in (0, 1]", f)
-	}
-	snap := m.Registry.Snapshot()
-	run := snap.Phases["run"]
-	if run.Spans != 1 || run.SerialNs != g.Hold.Value() {
-		t.Fatalf("run phase = %+v, want 1 span with serial = hold %d", run, g.Hold.Value())
-	}
-	if snap.Phases["setup"].Spans != 1 || snap.Phases["drain"].Spans != 1 {
-		t.Fatalf("phases = %+v, want setup and drain spans", snap.Phases)
-	}
-	if got := snap.Counters["cell_iters_done_total"]; got != 32*20 {
-		t.Fatalf("cell_iters_done_total = %d, want %d", got, 32*20)
-	}
-
-	seq := obs.NewMetrics()
-	if _, err := Run(obsSpec("", seq)); err != nil {
-		t.Fatal(err)
-	}
-	if h := seq.Gate.Hold.Value(); h != 0 {
-		t.Fatalf("fast engine touched the gate: hold=%d", h)
-	}
-	if got := seq.Registry.Snapshot().Counters["cell_iters_done_total"]; got != 32*20 {
-		t.Fatalf("fast-engine iters counter = %d, want %d", got, 32*20)
+// TestObsPhaseSpansAndIters checks that an observed run feeds the
+// instruments the harness owns on both engines: one setup, run and
+// drain span each, and a cell_iters_done_total of exactly P × iters.
+func TestObsPhaseSpansAndIters(t *testing.T) {
+	for _, engine := range []string{rma.EngineFast, rma.EngineRef} {
+		t.Run(engine, func(t *testing.T) {
+			m := obs.NewMetrics()
+			if _, err := Run(obsSpec(engine, m)); err != nil {
+				t.Fatal(err)
+			}
+			snap := m.Registry.Snapshot()
+			for _, phase := range []string{"setup", "run", "drain"} {
+				if n := snap.Phases[phase].Spans; n != 1 {
+					t.Errorf("phase %q spans = %d, want 1 (phases %+v)", phase, n, snap.Phases)
+				}
+			}
+			if got := snap.Counters["cell_iters_done_total"]; got != 32*20 {
+				t.Errorf("cell_iters_done_total = %d, want %d", got, 32*20)
+			}
+		})
 	}
 }
 
