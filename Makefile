@@ -70,7 +70,8 @@ bench-trajectory: bench
 # number is derived from the repository's trajectory files (next index).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x \
-		./internal/sim/... ./internal/workload/ ./internal/sweep/ ./internal/scheme/ \
+		./internal/sim/... ./internal/rma/ ./internal/topology/ ./internal/workload/ \
+		./internal/sweep/ ./internal/scheme/ \
 		> bench-smoke.txt
 	@cat bench-smoke.txt
 	$(GO) run ./cmd/benchjson -in bench-smoke.txt -out bench-smoke.json

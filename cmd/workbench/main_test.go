@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,4 +47,36 @@ func TestTuneAxesSet(t *testing.T) {
 			t.Errorf("Set(%q) accepted malformed input", bad)
 		}
 	}
+}
+
+// FuzzTuneAxesSet feeds two fuzzed -tune flag values to one tuneAxes.
+// Set must never panic; a rejected value must leave the axes as they
+// were; and every parsed axis must render (String) to a flag value that
+// Set parses back to the same axis.
+func FuzzTuneAxesSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var axes tuneAxes
+		for _, s := range []string{a, b} {
+			before := append(tuneAxes(nil), axes...)
+			if err := axes.Set(s); err != nil && !reflect.DeepEqual(axes, before) {
+				t.Fatalf("rejected Set(%q) changed the axes: %+v -> %+v", s, before, axes)
+			}
+		}
+		var parts []string
+		for _, ax := range axes {
+			one := tuneAxes{ax}
+			s := one.String()
+			parts = append(parts, s)
+			var back tuneAxes
+			if err := back.Set(s); err != nil {
+				t.Fatalf("axis %+v renders %q, which Set rejects: %v", ax, s, err)
+			}
+			if !reflect.DeepEqual(back, one) {
+				t.Fatalf("axis %+v renders %q, which parses to %+v", ax, s, back)
+			}
+		}
+		if got, want := axes.String(), strings.Join(parts, " "); got != want {
+			t.Fatalf("String() = %q, want the per-axis renderings %q", got, want)
+		}
+	})
 }

@@ -20,7 +20,6 @@ package dht
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rmalocks/internal/rma"
 )
@@ -60,18 +59,12 @@ func New(m *rma.Machine, slots, cells int) *Table {
 		freeOff: m.Alloc(1),
 	}
 	m.OnInit(func(m *rma.Machine) {
-		for r := 0; r < m.Procs(); r++ {
-			for i := 0; i < slots; i++ {
-				m.Set(r, t.valOff+i, empty)
-				m.Set(r, t.nxtOff+i, rma.Nil)
-				m.Set(r, t.lastOff+i, rma.Nil)
-			}
-			for i := 0; i < cells; i++ {
-				m.Set(r, t.heapVal+i, empty)
-				m.Set(r, t.heapNxt+i, rma.Nil)
-			}
-			m.Set(r, t.freeOff, 0)
-		}
+		m.Fill(t.valOff, slots, empty)
+		m.Fill(t.nxtOff, slots, rma.Nil)
+		m.Fill(t.lastOff, slots, rma.Nil)
+		m.Fill(t.heapVal, cells, empty)
+		m.Fill(t.heapNxt, cells, rma.Nil)
+		m.Fill(t.freeOff, 1, 0)
 		t.Overflows = 0
 	})
 	return t
@@ -115,7 +108,7 @@ func (t *Table) AtomicInsert(p *rma.Proc, vol int, key int64) bool {
 	idx := p.FAO(1, vol, t.freeOff, rma.OpSum)
 	p.Flush(vol)
 	if idx >= int64(t.cells) {
-		atomic.AddInt64(&t.Overflows, 1)
+		t.Overflows++
 		return false
 	}
 	p.Put(key, vol, t.heapVal+int(idx))
@@ -181,7 +174,7 @@ func (t *Table) PlainInsert(p *rma.Proc, vol int, key int64) bool {
 	idx := p.Get(vol, t.freeOff)
 	p.Flush(vol)
 	if idx >= int64(t.cells) {
-		atomic.AddInt64(&t.Overflows, 1)
+		t.Overflows++
 		return false
 	}
 	p.Put(idx+1, vol, t.freeOff)

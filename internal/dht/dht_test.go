@@ -182,3 +182,51 @@ func TestBadGeometryPanics(t *testing.T) {
 	}()
 	New(m, 0, 10)
 }
+
+// TestFillInitMatchesPerWordSet checks the bulk (Machine.Fill) window
+// initialization against a per-word Set reference: a second table of the
+// same geometry whose windows are first poisoned and then rewritten word
+// by word, as the initializer did before Fill. Every word of every rank
+// must match, so the bulk init neither misses nor adds a word.
+func TestFillInitMatchesPerWordSet(t *testing.T) {
+	topo := topology.ForProcs(40, 16)
+	const slots, cells = 7, 5
+	m := rma.NewMachine(topo)
+	New(m, slots, cells)
+	ref := rma.NewMachine(topo)
+	rt := New(ref, slots, cells)
+	ref.OnInit(func(m *rma.Machine) {
+		for r := 0; r < m.Procs(); r++ {
+			for w := 0; w < m.Words(); w++ {
+				m.Set(r, w, 12345)
+			}
+			for i := 0; i < slots; i++ {
+				m.Set(r, rt.valOff+i, empty)
+				m.Set(r, rt.nxtOff+i, rma.Nil)
+				m.Set(r, rt.lastOff+i, rma.Nil)
+			}
+			for i := 0; i < cells; i++ {
+				m.Set(r, rt.heapVal+i, empty)
+				m.Set(r, rt.heapNxt+i, rma.Nil)
+			}
+			m.Set(r, rt.freeOff, 0)
+		}
+	})
+	idle := func(*rma.Proc) {}
+	if err := m.Run(idle); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(idle); err != nil {
+		t.Fatal(err)
+	}
+	if m.Words() != ref.Words() || m.Words() != 3*slots+2*cells+1 {
+		t.Fatalf("words: %d vs reference %d", m.Words(), ref.Words())
+	}
+	for r := 0; r < m.Procs(); r++ {
+		for w := 0; w < m.Words(); w++ {
+			if got, want := m.At(r, w), ref.At(r, w); got != want {
+				t.Errorf("rank %d word %d = %d, per-word reference %d", r, w, got, want)
+			}
+		}
+	}
+}

@@ -5,8 +5,6 @@
 package dmcs
 
 import (
-	"sync/atomic"
-
 	"rmalocks/internal/rma"
 )
 
@@ -37,10 +35,8 @@ func New(m *rma.Machine) *Lock { return NewAt(m, 0) }
 func NewAt(m *rma.Machine, tailRank int) *Lock {
 	l := &Lock{base: m.Alloc(words), tailRank: tailRank, id: m.RegisterLock()}
 	m.OnInit(func(m *rma.Machine) {
-		for r := 0; r < m.Procs(); r++ {
-			m.Set(r, l.base+offNext, rma.Nil)
-			m.Set(r, l.base+offWait, 0)
-		}
+		m.Fill(l.base+offNext, 1, rma.Nil)
+		m.Fill(l.base+offWait, 1, 0)
 		m.Set(l.tailRank, l.base+offTail, rma.Nil)
 		l.Acquires = 0
 	})
@@ -70,7 +66,7 @@ func (l *Lock) acquire(p *rma.Proc) {
 		p.Flush(int(pred))
 		p.SpinUntil(me, l.base+offWait, func(v int64) bool { return v == 0 })
 	}
-	atomic.AddInt64(&l.Acquires, 1)
+	l.Acquires++
 }
 
 // Release implements the paper's Listing 3.

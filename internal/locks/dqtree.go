@@ -2,7 +2,6 @@ package locks
 
 import (
 	"math"
-	"sync/atomic"
 
 	"rmalocks/internal/rma"
 	"rmalocks/internal/topology"
@@ -64,12 +63,10 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 		t.tailOff[i] = m.Alloc(1)
 	}
 	m.OnInit(func(m *rma.Machine) {
-		for r := 0; r < topo.Procs(); r++ {
-			for i := 1; i <= n; i++ {
-				m.Set(r, t.nextOff[i], rma.Nil)
-				m.Set(r, t.statusOff[i], StatusWait)
-				m.Set(r, t.tailOff[i], rma.Nil)
-			}
+		for i := 1; i <= n; i++ {
+			m.Fill(t.nextOff[i], 1, rma.Nil)
+			m.Fill(t.statusOff[i], 1, StatusWait)
+			m.Fill(t.tailOff[i], 1, rma.Nil)
 		}
 		for i := range t.Passes {
 			t.Passes[i] = 0
@@ -164,9 +161,9 @@ func (t *DQTree) Pass(p *rma.Proc, i int, succ int64, status int64) {
 	p.Put(status, int(succ), t.statusOff[i])
 	p.Flush(int(succ))
 	if status >= 0 {
-		atomic.AddInt64(&t.Passes[i], 1)
+		t.Passes[i]++
 	} else {
-		atomic.AddInt64(&t.ParentReleases[i], 1)
+		t.ParentReleases[i]++
 	}
 }
 

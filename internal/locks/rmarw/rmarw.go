@@ -18,7 +18,6 @@ package rmarw
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rmalocks/internal/locks"
 	"rmalocks/internal/rma"
@@ -269,7 +268,7 @@ func (l *Lock) resetCounters(p *rma.Proc) {
 	for _, r := range l.counterRanks {
 		l.resetCounter(p, r, true)
 	}
-	atomic.AddInt64(&l.ModeChanges, 1)
+	l.ModeChanges++
 	l.trace("writer-reset", -1, 0)
 }
 
@@ -299,12 +298,12 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 		curr := p.FAO(1, c, l.arriveOff, rma.OpSum)
 		p.Flush(c)
 		if curr < l.tr {
-			atomic.AddInt64(&l.ReadAcquires, 1)
+			l.ReadAcquires++
 			return
 		}
 		// T_R reached (or WRITE mode: the bias dwarfs T_R).
 		barrier = true
-		atomic.AddInt64(&l.ReaderBackoffs, 1)
+		l.ReaderBackoffs++
 		l.trace("fao", p.Rank(), curr)
 		if curr == l.tr {
 			// We are the first to reach T_R: pass the lock to the
@@ -351,7 +350,7 @@ func (l *Lock) acquireWrite(p *rma.Proc) {
 		status, hadPred := l.tree.EnterQueue(p, i)
 		if hadPred {
 			if status >= 0 {
-				atomic.AddInt64(&l.WriteAcquires, 1)
+				l.WriteAcquires++
 				return // direct pass within the element (Listing 4)
 			}
 			if status != locks.StatusAcquireParent {
@@ -376,7 +375,7 @@ func (l *Lock) acquireWrite(p *rma.Proc) {
 	default:
 		panic(fmt.Sprintf("rmarw: unexpected root status %d", status))
 	}
-	atomic.AddInt64(&l.WriteAcquires, 1)
+	l.WriteAcquires++
 }
 
 // ReleaseWrite walks down from the leaf (Listing 5), ending at the root

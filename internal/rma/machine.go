@@ -232,6 +232,22 @@ func (m *Machine) OnInit(f func(m *Machine)) { m.inits = append(m.inits, f) }
 // after Run returns (inspection).
 func (m *Machine) Set(rank, offset int, v int64) { m.mem[m.index(rank, offset)] = v }
 
+// Fill sets window words [offset, offset+n) to v on every rank: the bulk
+// form of Set for initializers that fill a per-rank range. Like Set it
+// panics on an offset outside the window, and also on a range that runs
+// past its end. Only valid inside OnInit callbacks and after Run returns.
+func (m *Machine) Fill(offset, n int, v int64) {
+	if offset < 0 || offset >= m.words || n < 0 || n > m.words-offset {
+		panic(fmt.Sprintf("rma: fill [%d,%d+%d) out of range [0,%d)", offset, offset, n, m.words))
+	}
+	for base := offset; base < len(m.mem); base += m.words {
+		w := m.mem[base : base+n]
+		for i := range w {
+			w[i] = v
+		}
+	}
+}
+
 // At reads a window word directly. Only valid inside OnInit callbacks and
 // after Run returns (inspection).
 func (m *Machine) At(rank, offset int) int64 { return m.mem[m.index(rank, offset)] }
@@ -354,12 +370,13 @@ func (m *Machine) index(rank, offset int) int {
 
 // charge computes the virtual duration of one op from origin clock to
 // completion, updates the target's busy-until, and returns the duration
-// plus the virtual time at which the operation lands at the target. The
-// origin clock is the process's effective clock (published plus pending
-// coalesced charges), so coalescing never skews latency or occupancy.
-// Caller must be the sole running process (guaranteed by the scheduler).
-func (m *Machine) charge(origin *Proc, target int, atomic bool) (dur, land int64) {
-	d := m.topo.Distance(origin.rank, target)
+// plus the virtual time at which the operation lands at the target. d is
+// the origin→target topological distance, which the op has already
+// derived for its stats. The origin clock is the process's effective
+// clock (published plus pending coalesced charges), so coalescing never
+// skews latency or occupancy. Caller must be the sole running process
+// (guaranteed by the scheduler).
+func (m *Machine) charge(origin *Proc, target, d int, atomic bool) (dur, land int64) {
 	var rtt, occ int64
 	if atomic {
 		rtt, occ = m.lat.AtomicRTT[d], m.lat.AtomicOcc[d]

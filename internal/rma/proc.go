@@ -188,8 +188,9 @@ func (p *Proc) Put(src int64, target, offset int) {
 	p.sync()
 	i := p.m.index(target, offset)
 	p.m.mem[i] = src
-	p.m.stats.count(opPut, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, false)
+	d := p.m.topo.Distance(p.rank, target)
+	p.m.stats.count(opPut, d)
+	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpPut, target, land)
 	p.m.wake(target, offset, src, land)
 	p.spend(dur)
@@ -201,8 +202,9 @@ func (p *Proc) Put(src int64, target, offset int) {
 func (p *Proc) Get(target, offset int) int64 {
 	p.sync()
 	v := p.m.mem[p.m.index(target, offset)]
-	p.m.stats.count(opGet, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, false)
+	d := p.m.topo.Distance(p.rank, target)
+	p.m.stats.count(opGet, d)
+	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpGet, target, land)
 	p.spend(dur)
 	return v
@@ -223,8 +225,9 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.m.stats.count(opAcc, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.m.stats.count(opAcc, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpAcc, target, land)
 	p.m.wake(target, offset, nv, land)
 	p.spend(dur)
@@ -246,8 +249,9 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.m.stats.count(opFAO, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.m.stats.count(opFAO, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpFAO, target, land)
 	p.m.wake(target, offset, nv, land)
 	p.spend(dur)
@@ -264,8 +268,9 @@ func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
 	if changed {
 		p.m.mem[i] = src
 	}
-	p.m.stats.count(opCAS, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.m.stats.count(opCAS, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpCAS, target, land)
 	if changed {
 		p.m.wake(target, offset, src, land)
@@ -308,8 +313,9 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 	v := p.m.mem[idx]
 	if cond(v) {
 		// Fast path: one ordinary read observes the satisfying value.
-		p.m.stats.count(opGet, p.m.topo.Distance(p.rank, target))
-		dur, land := p.m.charge(p, target, false)
+		d := p.m.topo.Distance(p.rank, target)
+		p.m.stats.count(opGet, d)
+		dur, land := p.m.charge(p, target, d, false)
 		p.traceOp(trace.OpGet, target, land)
 		p.spend(dur)
 		return v

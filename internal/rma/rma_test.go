@@ -2,6 +2,7 @@ package rma
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -355,5 +356,47 @@ func TestUniformLatencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFill checks that Fill writes exactly [offset, offset+n) on every
+// rank, leaves every other word alone, and panics on any range outside
+// the window, as Set does.
+func TestFill(t *testing.T) {
+	const words, poison = 10, 99
+	m := testMachine(2, 3)
+	m.Alloc(words)
+	m.OnInit(func(m *Machine) {
+		for r := 0; r < m.Procs(); r++ {
+			for w := 0; w < words; w++ {
+				m.Set(r, w, poison)
+			}
+		}
+		m.Fill(3, 4, -7)
+		m.Fill(9, 0, -8) // empty range at the window's end: no write
+	})
+	if err := m.Run(func(*Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < m.Procs(); r++ {
+		for w := 0; w < words; w++ {
+			want := int64(poison)
+			if w >= 3 && w < 7 {
+				want = -7
+			}
+			if got := m.At(r, w); got != want {
+				t.Errorf("rank %d word %d = %d, want %d", r, w, got, want)
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 1}, {-1, 0}, {words, 1}, {words, 0}, {8, 3}, {0, words + 1}, {0, -1}, {1, math.MaxInt}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			m.Fill(bad[0], bad[1], 0)
+		}()
 	}
 }

@@ -1,6 +1,6 @@
 package sim
 
-// Internal benchmarks for the sharded, id-based (no-boxing) min-heap
+// Internal benchmarks for the sharded, value-keyed (no-boxing) min-heap
 // behind the genuine-handoff slow path. The engine-level benchmarks
 // (fast path vs refsim) live in bench_engines_test.go.
 

@@ -8,11 +8,12 @@ package sim
 // Layout: ranks [k*shardSize, (k+1)*shardSize) belong to shard k — with
 // shardSize = topology procs-per-leaf, a shard is exactly one compute
 // node of the simulated machine. Each shard is a 4-ary min-heap of
-// int32 rank ids ordered by (clock, id); clocks live in the scheduler's
-// flat hot-state slice, so the heap stores ids only (4 bytes per pending
-// rank). A small top-level binary heap orders the non-empty shards by
-// their head key, with a position index (topPos) so a shard whose head
-// changed can be re-sifted in O(log #shards).
+// (clock, id) entries, 16 bytes per pending rank: the key is copied in
+// at push, so a sift compares values in place instead of chasing each
+// id into the scheduler's hot-state slice. A small top-level binary heap
+// orders the non-empty shards by their head key, with a position index
+// (topPos) so a shard whose head changed can be re-sifted in
+// O(log #shards).
 //
 // Ownership invariants:
 //   - a rank id appears in at most one shard (its own), at most once;
@@ -20,39 +21,49 @@ package sim
 //     and topPos[k] is its current index there (-1 when absent);
 //   - hot[id].clock is immutable while id is queued (the scheduler only
 //     touches a rank's clock when it is running, blocked or being woken
-//     — never while pending), so heap order cannot rot.
+//     — never while pending), so the copied key is exact and heap order
+//     cannot rot.
 //
 // (clock, id) keys are unique and totally ordered, so any conforming
 // min-heap pops them in exactly one order: sharding cannot change the
 // dispatch sequence (property-tested against the single-shard layout).
 //
-// The 4-ary shard sift replaces the former binary *proc heap: one level
-// of a 4-ary heap touches one cache line of ids, halving the tree depth
-// that made BenchmarkProcHeapDrainRefill super-linear once the working
-// set outgrew cache.
+// The 4-ary shard sift replaces the former binary *proc heap: a node's
+// four children are 64 contiguous bytes, and the tree is half as deep —
+// the depth that made BenchmarkProcHeapDrainRefill super-linear once the
+// working set outgrew cache.
 type shardHeap struct {
-	hot       []hotState
 	shardSize int32
-	shards    [][]int32
+	shards    [][]heapEntry
 	top       []int32 // binary min-heap of shard indices, keyed by shard head
 	topPos    []int32 // shard index -> position in top (-1 = not queued)
 	size      int
 }
 
+// heapEntry is one pending rank and its clock at push time.
+type heapEntry struct {
+	clock int64
+	id    int32
+}
+
+// less orders entries by (clock, id).
+func (e heapEntry) less(f heapEntry) bool {
+	return e.clock < f.clock || (e.clock == f.clock && e.id < f.id)
+}
+
 // init prepares the heap for n ranks split into ceil(n/shardSize)
 // shards, reusing the backing arrays carried by core.
-func (h *shardHeap) init(hot []hotState, n, shardSize int, core *schedCore) {
+func (h *shardHeap) init(n, shardSize int, core *schedCore) {
 	if shardSize <= 0 || shardSize > n {
 		shardSize = n
 	}
-	h.hot = hot
 	h.shardSize = int32(shardSize)
 	nShards := (n + shardSize - 1) / shardSize
 	sh := core.shards
 	if cap(sh) >= nShards {
 		sh = sh[:nShards]
 	} else {
-		sh = append(sh[:cap(sh)], make([][]int32, nShards-cap(sh))...)
+		sh = append(sh[:cap(sh)], make([][]heapEntry, nShards-cap(sh))...)
 	}
 	for i := range sh {
 		if sh[i] != nil {
@@ -74,30 +85,22 @@ func (h *shardHeap) init(hot []hotState, n, shardSize int, core *schedCore) {
 	h.size = 0
 }
 
-// less orders rank ids by (clock, id).
-func (h *shardHeap) less(a, b int32) bool {
-	ca, cb := h.hot[a].clock, h.hot[b].clock
-	return ca < cb || (ca == cb && a < b)
-}
-
-// push queues rank id, which must not already be queued (the scheduler's
-// inHeap flag guards this).
-func (h *shardHeap) push(id int32) {
+// push queues rank id at clock, which must be hot[id].clock; id must not
+// already be queued (the scheduler's inHeap flag guards this).
+func (h *shardHeap) push(id int32, clock int64) {
 	si := id / h.shardSize
-	a := append(h.shards[si], id)
-	c := h.hot[id].clock
+	e := heapEntry{clock, id}
+	a := append(h.shards[si], e)
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		q := a[parent]
-		cq := h.hot[q].clock
-		if c > cq || (c == cq && id > q) {
+		if !e.less(a[parent]) {
 			break
 		}
-		a[i] = q
+		a[i] = a[parent]
 		i = parent
 	}
-	a[i] = id
+	a[i] = e
 	h.shards[si] = a
 	h.size++
 	if i == 0 {
@@ -116,7 +119,7 @@ func (h *shardHeap) push(id int32) {
 func (h *shardHeap) pop() int32 {
 	si := h.top[0]
 	a := h.shards[si]
-	id := a[0]
+	id := a[0].id
 	n := len(a) - 1
 	last := a[n]
 	a = a[:n]
@@ -126,32 +129,27 @@ func (h *shardHeap) pop() int32 {
 		h.topRemoveRoot()
 		return id
 	}
-	// Sift the former last element down from the shard root (4-ary).
-	cl := h.hot
-	lastC := cl[last].clock
+	// Sift the former last entry down from the shard root (4-ary).
 	i := 0
 	for {
 		c0 := i<<2 + 1
 		if c0 >= n {
 			break
 		}
-		min, minID := c0, a[c0]
-		minC := cl[minID].clock
+		min, minE := c0, a[c0]
 		end := c0 + 4
 		if end > n {
 			end = n
 		}
 		for c := c0 + 1; c < end; c++ {
-			q := a[c]
-			cq := cl[q].clock
-			if cq < minC || (cq == minC && q < minID) {
-				min, minID, minC = c, q, cq
+			if a[c].less(minE) {
+				min, minE = c, a[c]
 			}
 		}
-		if lastC < minC || (lastC == minC && last < minID) {
+		if last.less(minE) {
 			break
 		}
-		a[i] = minID
+		a[i] = minE
 		i = min
 	}
 	a[i] = last
@@ -165,13 +163,13 @@ func (h *shardHeap) peek() (clock int64, id int32, ok bool) {
 	if h.size == 0 {
 		return 0, 0, false
 	}
-	id = h.shards[h.top[0]][0]
-	return h.hot[id].clock, id, true
+	e := h.shards[h.top[0]][0]
+	return e.clock, e.id, true
 }
 
 // topLess orders shards by their head rank's (clock, id).
 func (h *shardHeap) topLess(x, y int32) bool {
-	return h.less(h.shards[x][0], h.shards[y][0])
+	return h.shards[x][0].less(h.shards[y][0])
 }
 
 func (h *shardHeap) topPush(si int32) {

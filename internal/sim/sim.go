@@ -47,15 +47,15 @@
 //
 // Per-process state is struct-of-arrays, indexed by rank id: clocks,
 // horizons and scheduling flags live in flat slices, the pending-process
-// queue (see shardHeap) traffics in int32 rank ids, and a Handle caches
-// pointers into the clock/horizon slices so the fast path stays a plain
-// increment. Coroutines are created lazily, by dispatch: a rank that has
+// queue (see shardHeap) holds 16-byte (clock, id) entries, and a Handle
+// caches pointers into the clock/horizon slices so the fast path stays a
+// plain increment. Coroutines are created lazily, by dispatch: a rank that has
 // never run is represented implicitly by its (0, id) key — the virtual
 // start entries [nextStart, Procs) — and its coroutine is created when
 // that key first becomes the minimum. A 10^6-rank machine whose ranks
 // run one after another therefore pays for coroutine stacks only as
-// ranks genuinely interleave, and the flat state costs ~77 bytes per
-// rank.
+// ranks genuinely interleave, and the flat state costs ~89 bytes per
+// rank (16 of them a heap entry, held only while the rank is queued).
 //
 // The package knows nothing about RMA; package rma layers windows, latency
 // and contention modeling on top of it.
@@ -221,7 +221,7 @@ type schedCore struct {
 	coros   []coro
 	handles []Handle
 	arrived []int32
-	shards  [][]int32
+	shards  [][]heapEntry
 	top     []int32
 	topPos  []int32
 }
@@ -271,7 +271,7 @@ func New(cfg Config) *Scheduler {
 			h.tb = tsink.Buf(i, trace.ClassCharge)
 		}
 	}
-	s.heap.init(s.hot, n, cfg.ShardSize, core)
+	s.heap.init(n, cfg.ShardSize, core)
 	return s
 }
 
@@ -685,7 +685,7 @@ func (s *Scheduler) push(id int32) {
 		panic(fmt.Sprintf("sim: process %d pushed twice", id))
 	}
 	s.state[id] |= stInHeap
-	s.heap.push(id)
+	s.heap.push(id, s.hot[id].clock)
 }
 
 func (s *Scheduler) popMin() int32 {

@@ -44,6 +44,10 @@ func (e *RankOverflowError) Error() string {
 type Topology struct {
 	// counts[i-1] is the number of elements at level i. counts[0] == 1.
 	counts []int
+	// leavesPerElem[i-1] is the number of leaf elements under one
+	// element of level i: the divisor that maps a leaf id to its level-i
+	// ancestor. leavesPerElem[N-1] == 1.
+	leavesPerElem []int
 	// procsPerLeaf is the number of processes on each leaf element.
 	procsPerLeaf int
 	// p is the total number of processes.
@@ -81,10 +85,15 @@ func New(elementsPerLevel []int, procsPerLeaf int) (*Topology, error) {
 	}
 	counts := make([]int, len(elementsPerLevel))
 	copy(counts, elementsPerLevel)
+	lpe := make([]int, len(counts))
+	for i, c := range counts {
+		lpe[i] = leaves / c
+	}
 	return &Topology{
-		counts:       counts,
-		procsPerLeaf: procsPerLeaf,
-		p:            counts[len(counts)-1] * procsPerLeaf,
+		counts:        counts,
+		leavesPerElem: lpe,
+		procsPerLeaf:  procsPerLeaf,
+		p:             leaves * procsPerLeaf,
 	}, nil
 }
 
@@ -141,11 +150,9 @@ func (t *Topology) Elements(level int) int {
 func (t *Topology) Element(p, level int) int {
 	t.checkRank(p)
 	t.checkLevel(level)
-	leaf := p / t.procsPerLeaf
 	// Leaves are distributed evenly among the elements of every upper
 	// level, so the ancestor at level i is a contiguous-block division.
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	return leaf / leavesPerElem
+	return p / t.procsPerLeaf / t.leavesPerElem[level-1]
 }
 
 // MemberRanks returns the ranks contained in element j of level i, capped
@@ -153,9 +160,9 @@ func (t *Topology) Element(p, level int) int {
 func (t *Topology) MemberRanks(level, elem int) []int {
 	t.checkLevel(level)
 	t.checkElem(level, elem)
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	first := elem * leavesPerElem * t.procsPerLeaf
-	last := (elem + 1) * leavesPerElem * t.procsPerLeaf
+	span := t.leavesPerElem[level-1] * t.procsPerLeaf
+	first := elem * span
+	last := first + span
 	if last > t.p {
 		last = t.p
 	}
@@ -172,8 +179,7 @@ func (t *Topology) MemberRanks(level, elem int) []int {
 func (t *Topology) Leader(level, elem int) int {
 	t.checkLevel(level)
 	t.checkElem(level, elem)
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	return elem * leavesPerElem * t.procsPerLeaf
+	return elem * t.leavesPerElem[level-1] * t.procsPerLeaf
 }
 
 // TailRank returns tail_rank[i, j]: the rank storing the TAIL pointer of
@@ -184,15 +190,23 @@ func (t *Topology) TailRank(level, elem int) int { return t.Leader(level, elem) 
 // same rank, otherwise N+1-i where i is the deepest level at which the two
 // ranks share an element. For a two-level machine this yields 0 (self),
 // 1 (same node) or 2 (different nodes).
+//
+// Every RMA op asks for it, so it works on leaf ids directly: two ranks
+// share their level-i element iff their leaves fall in the same block of
+// leavesPerElem[i-1] leaves.
 func (t *Topology) Distance(a, b int) int {
 	t.checkRank(a)
 	t.checkRank(b)
 	if a == b {
 		return 0
 	}
-	n := t.Levels()
-	for i := n; i >= 1; i-- {
-		if t.Element(a, i) == t.Element(b, i) {
+	la, lb := a/t.procsPerLeaf, b/t.procsPerLeaf
+	if la == lb {
+		return 1
+	}
+	n := len(t.counts)
+	for i := n - 1; i > 1; i-- {
+		if w := t.leavesPerElem[i-1]; la/w == lb/w {
 			return n + 1 - i
 		}
 	}
